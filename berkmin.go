@@ -30,7 +30,15 @@
 // Beyond the paper, SolveParallel runs a portfolio of diversified solver
 // configurations concurrently (first definitive answer wins, losers are
 // interrupted, short learnt clauses are exchanged between members) — the
-// multi-core entry point; cmd/berkmin exposes it as -jobs N.
+// multi-core entry point; cmd/berkmin exposes it as -jobs N. SolveCubes
+// splits one hard instance into cubes for a pool of workers.
+//
+// Every solve goes through the front-end Solver: it alone preprocesses,
+// maps models back to the original variables, verifies them against the
+// original formula, and charges preprocessing to MaxTime and Runtime.
+// SolveParallel and SolveCubes load a throwaway Solver and run their
+// engine on its core; a Snapshot is a frozen Solver whose clones serve
+// pools and portfolios.
 package berkmin
 
 import (
@@ -40,7 +48,6 @@ import (
 
 	"berkmin/internal/cnf"
 	"berkmin/internal/core"
-	"berkmin/internal/cube"
 	"berkmin/internal/portfolio"
 	"berkmin/internal/simplify"
 )
@@ -208,8 +215,16 @@ func (s *Solver) AddClause(lits ...int) error {
 // already dead (the clauses are recorded but cannot constrain anything).
 func (s *Solver) AddFormula(f *Formula) error {
 	wasDead := s.core.Dead()
+	// The pristine copies of f's clauses share one backing array (full-cap
+	// slices, so an append by any holder reallocates).
+	n := 0
 	for _, c := range f.Clauses {
-		s.pristine.Add(c.Clone())
+		n += len(c)
+	}
+	lits := make(cnf.Clause, 0, n)
+	for _, c := range f.Clauses {
+		lits = append(lits, c...)
+		s.pristine.Add(lits[len(lits)-len(c) : len(lits) : len(lits)])
 		s.feed(c)
 	}
 	if f.NumVars > s.pristine.NumVars {
@@ -323,26 +338,29 @@ func (s *Solver) finishResult(r Result) Result {
 // end-to-end.
 func (s *Solver) solveCore(search func() Result) Result {
 	spent := s.preSpent
+	if spent == 0 {
+		// Nothing pending, and nothing written: a Snapshot's shared base
+		// runs its parallel engines through here concurrently.
+		return search()
+	}
 	s.preSpent = 0
-	if spent > 0 && s.maxTime > 0 {
+	if s.maxTime > 0 {
 		s.core.SetMaxTime(s.preRemaining)
 		defer s.core.SetMaxTime(s.maxTime)
 	}
 	r := search()
-	if spent > 0 {
-		// Charge preprocessing to the call's Runtime in both views — the
-		// returned Result and the Stats() accessor.
-		s.core.ChargeRuntime(spent)
-		r.Stats.Runtime += spent
-	}
+	// Charge preprocessing to the call's Runtime in both views — the
+	// returned Result and the Stats() accessor.
+	s.core.ChargeRuntime(spent)
+	r.Stats.Runtime += spent
 	return r
 }
 
 // Solve runs the search. With a resource limit configured in Options the
 // result may be StatusUnknown.
 func (s *Solver) Solve() Result {
-	s.preprocess()
-	return s.finishResult(s.solveCore(s.core.Solve))
+	r, _ := s.SolveContext(context.Background())
+	return r
 }
 
 // Stats returns statistics collected so far (also available in Result).
@@ -352,22 +370,14 @@ func (s *Solver) Stats() Stats { return s.core.Stats() }
 // literals. On an assumption-caused UNSAT, FailedAssumptions(result) names
 // a contradictory subset. The solver stays usable afterwards — clauses can
 // be added and Solve called again with all learnt clauses retained
-// (incremental solving).
+// (incremental solving). A zero literal panics; SolveAssumingContext
+// reports it as ErrInvalidLiteral instead.
 func (s *Solver) SolveAssuming(lits ...int) Result {
-	assumps := make([]cnf.Lit, len(lits))
-	for i, l := range lits {
-		if l == 0 {
-			panic("berkmin: assumption literal 0 is not allowed")
-		}
-		assumps[i] = cnf.FromDimacs(l)
+	r, err := s.SolveAssumingContext(context.Background(), lits...)
+	if err == ErrInvalidLiteral {
+		panic("berkmin: assumption literal 0 is not allowed")
 	}
-	s.preprocess()
-	// An assumption on an eliminated variable would be vacuous (nothing
-	// constrains it); bring its clauses back first.
-	for _, a := range assumps {
-		s.restore(a.Var())
-	}
-	return s.finishResult(s.solveCore(func() Result { return s.core.SolveAssuming(assumps) }))
+	return r
 }
 
 // StopReason says why a Solve call returned: StopNone for a definitive
@@ -392,17 +402,11 @@ func (s *Solver) Interrupt() { s.core.Interrupt() }
 func (s *Solver) ClearInterrupt() { s.core.ClearInterrupt() }
 
 // ParallelOptions configures SolveParallel. The zero value means: one
-// solver per CPU, default clause-sharing length, no resource limits.
+// solver per CPU, no resource limits. Members exchange learnt clauses of
+// length at most 8 or glue (LBD) at most 4.
 type ParallelOptions struct {
 	// Jobs is the number of concurrent solvers (<= 0: GOMAXPROCS).
 	Jobs int
-	// ShareMaxLen caps exchanged learnt-clause length (0: default 8,
-	// negative: disable sharing).
-	ShareMaxLen int
-	// ShareMaxGlue additionally exchanges clauses of glue (LBD) at most
-	// this regardless of length (0: default 4, negative: disable the glue
-	// route and share by length only).
-	ShareMaxGlue int
 	// Per-solver budgets, as in Options (0 = unlimited).
 	MaxConflicts uint64
 	MaxTime      time.Duration
@@ -415,7 +419,9 @@ type ParallelOptions struct {
 }
 
 // ParallelResult is the portfolio outcome: the winning member's Result
-// plus its configuration name (empty if every member hit its budget).
+// plus its configuration name — "simplify" when preprocessing refuted the
+// input and "load" when loading the clauses did, so no member raced; empty
+// if every member hit its budget.
 type ParallelResult struct {
 	Result
 	Winner string
@@ -427,24 +433,32 @@ type ParallelResult struct {
 // are identical in kind to Solve's (models are verified before being
 // returned); only which member finds them — and how fast — varies.
 func SolveParallel(f *Formula, opt ParallelOptions) ParallelResult {
-	return solveParallel(context.Background(), f, opt)
+	r, _ := SolveParallelContext(context.Background(), f, opt)
+	return r
 }
 
-func solveParallel(ctx context.Context, f *Formula, opt ParallelOptions) ParallelResult {
-	popt := portfolio.Options{
-		Jobs:         opt.Jobs,
-		ShareMaxLen:  opt.ShareMaxLen,
-		ShareMaxGlue: opt.ShareMaxGlue,
-		MaxConflicts: opt.MaxConflicts,
-		MaxTime:      opt.MaxTime,
-		BaseSeed:     opt.Seed,
-	}
-	if opt.Simplify {
-		so := DefaultSimplifyOptions()
-		popt.Simplify = &so
-	}
-	r := portfolio.SolveContext(ctx, f, popt)
-	return ParallelResult{Result: r.Result, Winner: r.Winner}
+// solveParallel races the portfolio over clones of s's core (loading it
+// first, as any solve does) and finishes through finishResult.
+func (s *Solver) solveParallel(ctx context.Context, opt ParallelOptions) (ParallelResult, error) {
+	var winner string
+	r, err := s.solveEngine(ctx, opt.MaxTime, func(maxTime time.Duration) Result {
+		if s.core.Dead() {
+			winner = "load"
+			if s.outcome != nil {
+				winner = "simplify"
+			}
+			return Result{Status: StatusUnsat}
+		}
+		pr := portfolio.Race(ctx, s.core, portfolio.Options{
+			Jobs:         opt.Jobs,
+			MaxConflicts: opt.MaxConflicts,
+			MaxTime:      maxTime,
+			BaseSeed:     opt.Seed,
+		})
+		winner = pr.Winner
+		return pr.Result
+	})
+	return ParallelResult{Result: r, Winner: winner}, err
 }
 
 // CubeOptions configures cube-and-conquer solving (SolveCubes).
@@ -496,64 +510,47 @@ type CubeResult struct {
 // Any satisfiable cube wins and cancels the rest; when every cube is
 // refuted the verdict is UNSAT, with an optionally stitched DRUP proof.
 func SolveCubes(f *Formula, opt CubeOptions) CubeResult {
-	return solveCubes(context.Background(), f, opt)
+	r, _ := SolveCubesContext(context.Background(), f, opt)
+	return r
 }
 
-func solveCubes(ctx context.Context, f *Formula, opt CubeOptions) CubeResult {
-	copt := cube.Options{
-		Jobs:         opt.Jobs,
-		MaxCubes:     opt.MaxCubes,
-		MaxDepth:     opt.MaxDepth,
-		ShareMaxGlue: opt.ShareMaxGlue,
-		Conquer:      opt.Config,
-		MaxTime:      opt.MaxTime,
-		BaseSeed:     opt.Seed,
-		Proof:        opt.Proof,
-	}
-	orig := f
-	var outcome *simplify.Outcome
-	var preSpent time.Duration
-	if opt.Simplify {
+// engineSolver returns a throwaway front end loaded with f for one
+// parallel-engine call: maxTime bounds preprocessing, which runs when
+// simplify is set and writes its trace to proof. The engines reconfigure
+// every solver they search with, so the front end's other options do not
+// matter.
+func engineSolver(f *Formula, maxTime time.Duration, simplify bool, proof io.Writer) *Solver {
+	o := DefaultOptions()
+	o.MaxTime = maxTime
+	s := NewWithOptions(o)
+	if simplify {
 		so := DefaultSimplifyOptions()
-		so.Proof = opt.Proof
-		var interrupted func() bool
-		if ctx.Done() != nil {
-			interrupted = func() bool { return ctx.Err() != nil }
-		}
-		// The preprocessor's trace leads the proof and its time is
-		// deducted from the cube phase, so MaxTime stays end-to-end. A
-		// refuted-outright formula flows through unchanged: the cube
-		// driver answers UNSAT from the empty clause and completes the
-		// proof.
-		outcome, preSpent, copt.MaxTime = simplify.Run(f, so, opt.MaxTime, interrupted)
-		f = outcome.Formula
+		s.SetSimplify(&so)
 	}
-	r := cube.SolveContext(ctx, f, copt)
-	res := CubeResult{
-		Result: Result{
-			Status: r.Status,
-			Stop:   r.Stop,
-			Model:  r.Model,
-			Stats: Stats{
-				Conflicts:       r.Conflicts,
-				ExportedClauses: r.Shared,
-				Runtime:         r.Runtime + preSpent,
-			},
-		},
-		Cubes:   r.Cubes,
-		Refuted: r.Refuted,
-		Solved:  r.Solved,
-		Steals:  r.Steals,
+	if proof != nil {
+		s.SetProofWriter(proof)
 	}
-	if res.Status == StatusSat {
-		if outcome != nil {
-			res.Model = outcome.Extend(res.Model)
+	s.AddFormula(f)
+	return s
+}
+
+// solveEngine is a solve whose search is a parallel engine over s.core:
+// pending preprocessing runs first — stopping when ctx fires, its time
+// deducted from the engine's wall-clock budget maxTime and charged to
+// Runtime — and the engine's answer finishes through finishResult. On a
+// solver with nothing pending it writes nothing to s but the core's atomic
+// interrupt flag, which clones do not inherit, so a Snapshot's shared base
+// may serve concurrent calls.
+func (s *Solver) solveEngine(ctx context.Context, maxTime time.Duration, engine func(maxTime time.Duration) Result) (Result, error) {
+	return s.runWithContext(ctx, func() Result {
+		s.preprocess()
+		if s.preSpent > 0 && maxTime > 0 {
+			// preRemaining is s.maxTime less preprocessing; engineSolver
+			// front ends carry the engine's budget as their MaxTime.
+			maxTime = s.preRemaining
 		}
-		if !cnf.Assignment(res.Model).Satisfies(orig) {
-			panic("berkmin: internal error: cube model does not satisfy the input formula")
-		}
-	}
-	return res
+		return s.finishResult(s.solveCore(func() Result { return engine(maxTime) }))
+	})
 }
 
 // FailedAssumptions extracts a result's failed-assumption set in signed

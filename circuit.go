@@ -72,27 +72,6 @@ func MiterWithInputs(a, b *Circuit) (*Formula, []int, error) {
 	return f, out, nil
 }
 
-// UnrollIncremental builds one BMC formula covering every depth 0..k of a
-// sequential circuit, with per-depth selector literals for
-// assumption-based iterative deepening: SolveAssuming(sels[d]) is
-// satisfiable iff a counterexample of length <= d exists (the verdict of
-// sc.Unroll(d)), while every depth shares a single encoding and solver —
-// learnt clauses carry from depth to depth. With no selector assumed the
-// formula is trivially satisfiable. Pairs naturally with Solver.Snapshot:
-// capture the formula once, then answer each depth with SolveAssuming on a
-// pooled or reused solver (see examples/bmc).
-func UnrollIncremental(sc *SeqCircuit, k int) (*Formula, []int, error) {
-	f, sels, err := sc.UnrollIncremental(k)
-	if err != nil {
-		return nil, nil, err
-	}
-	out := make([]int, len(sels))
-	for i, v := range sels {
-		out[i] = int(v)
-	}
-	return f, out, nil
-}
-
 // CircuitToCNF Tseitin-encodes a circuit and asserts all outputs true,
 // returning the formula and the CNF variables of the primary inputs.
 func CircuitToCNF(c *Circuit) (*Formula, []int) {

@@ -3,8 +3,11 @@ package berkmin
 import (
 	"context"
 	"errors"
+	"time"
 
 	"berkmin/internal/cnf"
+	"berkmin/internal/conc"
+	"berkmin/internal/cube"
 )
 
 // Context-first solving. SolveContext and SolveAssumingContext are the
@@ -57,36 +60,19 @@ func (s *Solver) SolveAssumingContext(ctx context.Context, lits ...int) (Result,
 	})
 }
 
-// runWithContext runs one solve under a context watcher: a goroutine maps
-// ctx.Done onto core Interrupt, and is always joined before returning so a
-// late-firing watcher can never leave a stale sticky interrupt behind (the
-// reusability guarantee Pool.Put relies on).
+// runWithContext runs one solve with ctx.Done mapped onto core Interrupt.
+// The watch is always ended before returning, and a fired interrupt is
+// cleared, so a late-firing context can never leave a stale sticky
+// interrupt behind (the reusability guarantee Pool.Put relies on).
 func (s *Solver) runWithContext(ctx context.Context, search func() Result) (Result, error) {
 	if err := ctx.Err(); err != nil {
 		// Already expired: report without touching the solver, so its
 		// state (and any attached proof trace) is exactly as before.
 		return Result{Status: StatusUnknown, Stop: StopInterrupted}, ctxSentinel(err)
 	}
-	if ctx.Done() == nil {
-		// A context that can never fire (context.Background()) needs no
-		// watcher goroutine.
-		r := search()
-		return r, stopError(r.Stop, nil)
-	}
-	quit := make(chan struct{})
-	fired := make(chan bool, 1)
-	go func() {
-		select {
-		case <-ctx.Done():
-			s.core.Interrupt()
-			fired <- true
-		case <-quit:
-			fired <- false
-		}
-	}()
+	stop := conc.OnDone(ctx, s.core.Interrupt)
 	r := search()
-	close(quit)
-	if <-fired {
+	if stop() {
 		s.core.ClearInterrupt()
 	}
 	return r, stopError(r.Stop, ctx)
@@ -119,35 +105,44 @@ func ctxSentinel(err error) error {
 }
 
 // SolveParallelContext is SolveParallel with context cancellation: when ctx
-// fires, every portfolio member is interrupted and the call returns
-// promptly with the matching sentinel error. The error contract is the same
-// as SolveContext's.
+// fires, preprocessing stops at its next pass boundary, every portfolio
+// member is interrupted, and the call returns promptly with the matching
+// sentinel error. The error contract is the same as SolveContext's.
 func SolveParallelContext(ctx context.Context, f *Formula, opt ParallelOptions) (ParallelResult, error) {
-	if err := ctx.Err(); err != nil {
-		return ParallelResult{Result: Result{Status: StatusUnknown, Stop: StopInterrupted}}, ctxSentinel(err)
-	}
-	r := solveParallel(ctx, f, opt)
-	return r, stopError(r.Stop, ctx)
+	return engineSolver(f, opt.MaxTime, opt.Simplify, nil).solveParallel(ctx, opt)
 }
 
 // SolveCubesContext is SolveCubes with context cancellation: when ctx
-// fires, the cuber stops at its next node, every conquer worker is
-// interrupted, and the call returns promptly with the matching sentinel
-// error. The error contract is the same as SolveContext's.
+// fires, preprocessing stops at its next pass boundary, the cuber at its
+// next node, every conquer worker is interrupted, and the call returns
+// promptly with the matching sentinel error. The error contract is the
+// same as SolveContext's.
 func SolveCubesContext(ctx context.Context, f *Formula, opt CubeOptions) (CubeResult, error) {
-	if err := ctx.Err(); err != nil {
-		return CubeResult{Result: Result{Status: StatusUnknown, Stop: StopInterrupted}}, ctxSentinel(err)
-	}
-	r := solveCubes(ctx, f, opt)
-	return r, stopError(r.Stop, ctx)
+	s := engineSolver(f, opt.MaxTime, opt.Simplify, opt.Proof)
+	var cr cube.Result
+	r, err := s.solveEngine(ctx, opt.MaxTime, func(maxTime time.Duration) Result {
+		// The front end's core becomes conquer worker 0.
+		cr = cube.SolveContext(ctx, s.core, cube.Options{
+			Jobs:         opt.Jobs,
+			MaxCubes:     opt.MaxCubes,
+			MaxDepth:     opt.MaxDepth,
+			ShareMaxGlue: opt.ShareMaxGlue,
+			Conquer:      opt.Config,
+			MaxTime:      maxTime,
+			BaseSeed:     opt.Seed,
+			Proof:        opt.Proof,
+		})
+		return Result{Status: cr.Status, Stop: cr.Stop, Model: cr.Model, Stats: Stats{
+			Conflicts:       cr.Conflicts,
+			ExportedClauses: cr.Shared,
+			Runtime:         cr.Runtime,
+		}}
+	})
+	return CubeResult{Result: r, Cubes: cr.Cubes, Refuted: cr.Refuted, Solved: cr.Solved, Steals: cr.Steals}, err
 }
 
 // SolveParallelContext races the snapshot's portfolio under a context; see
 // SolveParallelContext (package level) for the error contract.
 func (sn *Snapshot) SolveParallelContext(ctx context.Context, opt ParallelOptions) (ParallelResult, error) {
-	if err := ctx.Err(); err != nil {
-		return ParallelResult{Result: Result{Status: StatusUnknown, Stop: StopInterrupted}}, ctxSentinel(err)
-	}
-	r := sn.solveParallel(ctx, opt)
-	return r, stopError(r.Stop, ctx)
+	return sn.base.solveParallel(ctx, opt)
 }

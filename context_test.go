@@ -188,3 +188,39 @@ func TestSnapshotSolveParallelContext(t *testing.T) {
 		t.Fatalf("snapshot parallel = %v, %v; want SAT, nil", r.Status, err)
 	}
 }
+
+// TestEnginesStopDuringPreprocessing: on a blocksworld instance where
+// preprocessing dominates, a deadline that fires inside preprocessing
+// stops both parallel engines there — ErrDeadline and StatusUnknown, long
+// before unbounded preprocessing would have finished.
+func TestEnginesStopDuringPreprocessing(t *testing.T) {
+	f := berkmin.Blocksworld(7, 14, 2).Formula
+	start := time.Now()
+	berkmin.Simplify(f, berkmin.DefaultSimplifyOptions())
+	unbounded := time.Since(start)
+	deadline := unbounded / 50
+
+	solvers := map[string]func(ctx context.Context) (berkmin.Status, error){
+		"portfolio": func(ctx context.Context) (berkmin.Status, error) {
+			r, err := berkmin.SolveParallelContext(ctx, f, berkmin.ParallelOptions{Jobs: 2, Simplify: true})
+			return r.Status, err
+		},
+		"cubes": func(ctx context.Context) (berkmin.Status, error) {
+			r, err := berkmin.SolveCubesContext(ctx, f, berkmin.CubeOptions{Jobs: 2, Simplify: true})
+			return r.Status, err
+		},
+	}
+	for name, solve := range solvers {
+		ctx, cancel := context.WithTimeout(context.Background(), deadline)
+		start := time.Now()
+		status, err := solve(ctx)
+		took := time.Since(start)
+		cancel()
+		if !errors.Is(err, berkmin.ErrDeadline) || status != berkmin.StatusUnknown {
+			t.Errorf("%s: %v, %v; want Unknown, ErrDeadline", name, status, err)
+		}
+		if took > unbounded/2 {
+			t.Errorf("%s: returned after %v with a %v deadline; unbounded preprocessing takes %v", name, took, deadline, unbounded)
+		}
+	}
+}

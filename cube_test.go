@@ -29,6 +29,32 @@ func TestSolveCubes(t *testing.T) {
 	if r.Cubes+r.Refuted == 0 {
 		t.Fatal("no split happened")
 	}
+
+	// With Simplify the cubes split a formula with variables eliminated;
+	// the model must come back in the original variables.
+	if o := berkmin.Simplify(sat.Formula, berkmin.DefaultSimplifyOptions()); len(o.Elims) == 0 {
+		t.Fatal("preprocessing eliminates nothing; the check below would not cover reconstruction")
+	}
+	r = berkmin.SolveCubes(sat.Formula, berkmin.CubeOptions{Jobs: 2, MaxCubes: 16, Simplify: true})
+	if r.Status != berkmin.StatusSat {
+		t.Fatalf("hanoi with simplify: %v", r.Status)
+	}
+	if !berkmin.Verify(sat.Formula, r.Model) {
+		t.Fatal("model does not satisfy the original formula")
+	}
+}
+
+// refutedBySimplify returns a formula that preprocessing alone refutes.
+func refutedBySimplify(t *testing.T) *berkmin.Formula {
+	t.Helper()
+	f := berkmin.NewFormula(2)
+	f.AddClause(1)
+	f.AddClause(-1, 2)
+	f.AddClause(-2, -1)
+	if !berkmin.Simplify(f, berkmin.DefaultSimplifyOptions()).Unsat {
+		t.Fatal("preprocessing does not refute the formula on its own")
+	}
+	return f
 }
 
 // TestSolveCubesProofComposesWithSimplify: preprocessing leads the trace
@@ -36,20 +62,23 @@ func TestSolveCubes(t *testing.T) {
 // against the ORIGINAL formula — the same composition contract as the
 // sequential front-end.
 func TestSolveCubesProofComposesWithSimplify(t *testing.T) {
-	inst := berkmin.Pigeonhole(7)
-	var proof bytes.Buffer
-	r := berkmin.SolveCubes(inst.Formula, berkmin.CubeOptions{
-		Jobs: 2, MaxCubes: 16, Simplify: true, Proof: &proof,
-	})
-	if r.Status != berkmin.StatusUnsat {
-		t.Fatalf("status = %v", r.Status)
-	}
-	res, err := berkmin.CheckDRUP(inst.Formula, &proof)
-	if err != nil {
-		t.Fatalf("proof check: %v", err)
-	}
-	if !res.EmptyDerived {
-		t.Fatal("composed proof does not derive the empty clause")
+	// Pigeonhole needs the cubes; the second formula is refuted by
+	// preprocessing before any cube exists.
+	for _, f := range []*berkmin.Formula{berkmin.Pigeonhole(7).Formula, refutedBySimplify(t)} {
+		var proof bytes.Buffer
+		r := berkmin.SolveCubes(f, berkmin.CubeOptions{
+			Jobs: 2, MaxCubes: 16, Simplify: true, Proof: &proof,
+		})
+		if r.Status != berkmin.StatusUnsat {
+			t.Fatalf("status = %v", r.Status)
+		}
+		res, err := berkmin.CheckDRUP(f, &proof)
+		if err != nil {
+			t.Fatalf("proof check: %v", err)
+		}
+		if !res.EmptyDerived {
+			t.Fatal("composed proof does not derive the empty clause")
+		}
 	}
 }
 

@@ -43,25 +43,4 @@ func main() {
 	}
 	fmt.Printf("buggy fifo: %v at depth %d (%d pushes overrun the %d-slot buffer; %d queries)\n",
 		res.Status, res.Depth, res.Depth, 1<<ptrBits, res.Queries)
-
-	// 3. The same stream by hand, with an UNSAT core per depth: each
-	// depth's group is the core of its UNSAT answer until the bug bites.
-	s := berkmin.NewWithOptions(berkmin.IncrementalOptions())
-	f, sels, err := berkmin.UnrollIncremental(buggy, maxDepth)
-	if err != nil {
-		panic(err)
-	}
-	s.AddFormula(f)
-	for k := 1; k <= maxDepth; k++ {
-		g := s.NewClauseGroup()
-		s.AddClauseGroup(g, sels[k]) // activate depth k's selector, temporarily
-		r := s.Solve()
-		if r.Status == berkmin.StatusSat {
-			fmt.Printf("manual stream: depth %2d SAT — counterexample found\n", k)
-			break
-		}
-		groups, _ := s.UnsatCore()
-		fmt.Printf("manual stream: depth %2d %v (core: %d group(s))\n", k, r.Status, len(groups))
-		s.ReleaseGroup(g)
-	}
 }

@@ -13,11 +13,10 @@ import (
 	"fmt"
 	"time"
 
+	"berkmin"
 	"berkmin/internal/cnf"
 	"berkmin/internal/core"
 	"berkmin/internal/gen"
-	"berkmin/internal/portfolio"
-	"berkmin/internal/simplify"
 )
 
 // Config names a solver configuration under test.
@@ -56,46 +55,35 @@ type InstanceResult struct {
 	Stats   core.Stats
 }
 
-// RunInstance solves one instance under one configuration.
+// RunInstance solves one instance under one configuration, through the
+// root package's front end: it preprocesses when lim.Simplify is set
+// (bounded by the instance budget, its time charged to Runtime) and maps
+// models back to the original variables.
 func RunInstance(inst gen.Instance, cfg Config, lim Limits) InstanceResult {
-	// Preprocessing runs here, outside the engine or portfolio call, so
-	// its cost lands in the reported Runtime on both paths.
-	formula := inst.Formula
-	var outcome *simplify.Outcome
-	var simpTime time.Duration
-	if lim.Simplify {
-		// simplify.Run bounds preprocessing by the instance budget and
-		// deducts what it uses, keeping MaxTime an end-to-end limit.
-		outcome, simpTime, lim.MaxTime = simplify.Run(formula, simplify.DefaultOptions(), lim.MaxTime, nil)
-		if !outcome.Unsat {
-			formula = outcome.Formula
-		}
-	}
 	var r core.Result
-	switch {
-	case outcome != nil && outcome.Unsat:
-		r = core.Result{Status: core.StatusUnsat}
-	case cfg.Jobs > 1:
-		pr := portfolio.Solve(formula, portfolio.Options{
+	if cfg.Jobs > 1 {
+		// The winner's Runtime is the wall-clock time to the answer,
+		// which is the number the tables want.
+		r = berkmin.SolveParallel(inst.Formula, berkmin.ParallelOptions{
 			Jobs:         cfg.Jobs,
 			MaxConflicts: lim.MaxConflicts,
 			MaxTime:      lim.MaxTime,
-		})
-		r = pr.Result
-		// pr.Stats.Runtime is the winner's solve time — the wall-clock
-		// time to the answer, which is the number the tables want.
-	default:
+			Simplify:     lim.Simplify,
+		}).Result
+	} else {
 		opt := cfg.Opt
 		opt.MaxConflicts = lim.MaxConflicts
 		opt.MaxTime = lim.MaxTime
-		s := core.New(opt)
-		s.AddFormula(formula)
+		s := berkmin.NewWithOptions(opt)
+		// A wrong model is a table entry (Wrong), not a panic.
+		s.SetVerifyModels(false)
+		if lim.Simplify {
+			so := berkmin.DefaultSimplifyOptions()
+			s.SetSimplify(&so)
+		}
+		s.AddFormula(inst.Formula)
 		r = s.Solve()
 	}
-	if r.Status == core.StatusSat && outcome != nil {
-		r.Model = outcome.Extend(r.Model)
-	}
-	r.Stats.Runtime += simpTime
 	res := InstanceResult{
 		Instance: inst.Name,
 		Family:   inst.Family,

@@ -7,6 +7,7 @@ import (
 
 	"berkmin/internal/core"
 	"berkmin/internal/gen"
+	"berkmin/internal/simplify"
 )
 
 var testLimits = Limits{MaxConflicts: 200_000, MaxTime: 30 * time.Second}
@@ -19,6 +20,76 @@ func TestRunInstance(t *testing.T) {
 	}
 	if r.Instance != "hole5" || r.Family != "hole" || r.Config != "berkmin" {
 		t.Fatalf("metadata wrong: %+v", r)
+	}
+}
+
+// referenceRun is the bench pipeline from before RunInstance went
+// through the root package's front end: simplify.Run → core.New →
+// AddFormula → Solve → Extend.
+func referenceRun(inst gen.Instance, opt core.Options, lim Limits) core.Result {
+	f := inst.Formula
+	var out *simplify.Outcome
+	if lim.Simplify {
+		out, _, opt.MaxTime = simplify.Run(f, simplify.DefaultOptions(), lim.MaxTime, nil)
+		if out.Unsat {
+			return core.Result{Status: core.StatusUnsat}
+		}
+		f = out.Formula
+	}
+	s := core.New(opt)
+	s.AddFormula(f)
+	r := s.Solve()
+	if r.Status == core.StatusSat && out != nil {
+		r.Model = out.Extend(r.Model)
+	}
+	return r
+}
+
+// TestRunInstanceMatchesReferencePipeline pins the paper tables' numbers
+// across the move onto the front end: for every sequential configuration
+// the tables run, on every small-scale instance, with preprocessing off
+// and on, RunInstance reports exactly the reference pipeline's verdict,
+// conflicts and decisions. The budget is a conflict count, not wall
+// clock, so both sides stop at the same point.
+func TestRunInstanceMatchesReferencePipeline(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs eleven configurations over all classes twice")
+	}
+	cfgs := []Config{
+		{Name: "BerkMin", Opt: core.DefaultOptions()},
+		{Name: "Less_sensitivity", Opt: core.LessSensitivityOptions()},
+		{Name: "Less_mobility", Opt: core.LessMobilityOptions()},
+		{Name: "Sat_top", Opt: core.BranchOptions(core.PolaritySatTop)},
+		{Name: "Unsat_top", Opt: core.BranchOptions(core.PolarityUnsatTop)},
+		{Name: "Take_0", Opt: core.BranchOptions(core.PolarityTake0)},
+		{Name: "Take_1", Opt: core.BranchOptions(core.PolarityTake1)},
+		{Name: "Take_rand", Opt: core.BranchOptions(core.PolarityTakeRand)},
+		{Name: "Limited_keeping", Opt: core.LimitedKeepingOptions()},
+		{Name: "zChaff-like", Opt: core.ChaffOptions()},
+		{Name: "limmat-like", Opt: core.LimmatOptions()},
+	}
+	for _, cfg := range cfgs {
+		t.Run(cfg.Name, func(t *testing.T) {
+			t.Parallel()
+			for _, simp := range []bool{false, true} {
+				lim := Limits{MaxConflicts: 5_000, Simplify: simp}
+				opt := cfg.Opt
+				opt.MaxConflicts = lim.MaxConflicts
+				for _, cl := range Classes(Small) {
+					for _, inst := range cl.Instances {
+						want := referenceRun(inst, opt, lim)
+						got := RunInstance(inst, cfg, lim)
+						if got.Wrong || got.Status != want.Status ||
+							got.Stats.Conflicts != want.Stats.Conflicts ||
+							got.Stats.Decisions != want.Stats.Decisions {
+							t.Errorf("%s simplify=%v: RunInstance %v (wrong=%v) %d conflicts %d decisions, reference %v %d conflicts %d decisions",
+								inst.Name, simp, got.Status, got.Wrong, got.Stats.Conflicts, got.Stats.Decisions,
+								want.Status, want.Stats.Conflicts, want.Stats.Decisions)
+						}
+					}
+				}
+			}
+		})
 	}
 }
 

@@ -2,13 +2,11 @@ package bench
 
 import (
 	"fmt"
-	"time"
 
+	"berkmin"
 	"berkmin/internal/cnf"
 	"berkmin/internal/core"
-	"berkmin/internal/cube"
 	"berkmin/internal/gen"
-	"berkmin/internal/simplify"
 )
 
 // CubeConquer benches cube-and-conquer scaling on the hard instance set:
@@ -79,43 +77,21 @@ func CubeConquer(sc Scale, lim Limits, workers []int) *Report {
 // runCubeInstance solves one instance by cube-and-conquer with w workers,
 // under the run-wide limits (simplify toggle and wall clock).
 func runCubeInstance(inst gen.Instance, w int, lim Limits) InstanceResult {
-	formula := inst.Formula
-	var outcome *simplify.Outcome
-	var simpTime time.Duration
-	maxTime := lim.MaxTime
-	if lim.Simplify {
-		outcome, simpTime, maxTime = simplify.Run(formula, simplify.DefaultOptions(), maxTime, nil)
-		if !outcome.Unsat {
-			formula = outcome.Formula
-		}
-	}
-	var status core.Status
-	var stop core.StopReason
-	var model []bool
-	var runtime time.Duration
-	if outcome != nil && outcome.Unsat {
-		status = core.StatusUnsat
-	} else {
-		r := cube.Solve(formula, cube.Options{Jobs: w, MaxTime: maxTime})
-		status, stop, model, runtime = r.Status, r.Stop, r.Model, r.Runtime
-	}
-	if status == core.StatusSat && outcome != nil {
-		model = outcome.Extend(model)
-	}
+	r := berkmin.SolveCubes(inst.Formula, berkmin.CubeOptions{Jobs: w, MaxTime: lim.MaxTime, Simplify: lim.Simplify})
 	res := InstanceResult{
 		Instance: inst.Name,
 		Family:   inst.Family,
 		Config:   fmt.Sprintf("cube-%d", w),
-		Status:   status,
-		Aborted:  stop.ResourceLimit(),
-		Stats:    core.Stats{Runtime: runtime + simpTime},
+		Status:   r.Status,
+		Aborted:  r.Stop.ResourceLimit(),
+		Stats:    core.Stats{Runtime: r.Stats.Runtime},
 	}
 	switch {
-	case status == core.StatusSat && inst.Expected == gen.ExpUnsat,
-		status == core.StatusUnsat && inst.Expected == gen.ExpSat:
+	case r.Status == core.StatusSat && inst.Expected == gen.ExpUnsat,
+		r.Status == core.StatusUnsat && inst.Expected == gen.ExpSat:
 		res.Wrong = true
-	case status == core.StatusSat:
-		if !cnf.Assignment(model).Satisfies(inst.Formula) {
+	case r.Status == core.StatusSat:
+		if !cnf.Assignment(r.Model).Satisfies(inst.Formula) {
 			res.Wrong = true
 		}
 	}

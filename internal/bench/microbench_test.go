@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -25,7 +26,11 @@ func BenchmarkCubeConquer(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r := cube.Solve(inst.Formula, cube.Options{Jobs: 2, MaxCubes: 32})
+		// Loading the master stays inside the timed loop: it is part of
+		// every cube-and-conquer call.
+		master := core.New(core.DefaultOptions())
+		master.AddFormula(inst.Formula)
+		r := cube.SolveContext(context.Background(), master, cube.Options{Jobs: 2, MaxCubes: 32})
 		if r.Status != core.StatusUnsat {
 			b.Fatalf("status = %v", r.Status)
 		}

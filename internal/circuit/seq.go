@@ -51,56 +51,18 @@ func (sc *SeqCircuit) Unroll(k int) (*cnf.Formula, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
+	// Stamp the frames with the streaming Unroller's stamper; u.bad holds
+	// the per-frame property-failure literals.
 	b := cnf.NewBuilder()
-	bad := sc.unrollFrames(b, k)
-	b.Clause(bad...)
-	f := b.Formula()
-	f.Comments = append(f.Comments, fmt.Sprintf("bmc: %s unrolled %d steps", sc.Name, k))
-	return f, nil
-}
-
-// UnrollIncremental builds one BMC formula covering every depth 0..k at
-// once, for assumption-based iterative deepening: instead of asserting
-// "some frame fails", each depth d gets a fresh selector variable sel_d
-// with the clause (¬sel_d ∨ fail_0 ∨ … ∨ fail_d). Solving under the single
-// assumption sel_d is then satisfiable iff a counterexample of length <= d
-// exists — exactly Unroll(d)'s verdict — while all depths share one
-// transition-relation encoding and one solver: learnt clauses about the
-// transition logic carry from depth to depth. With no selector assumed the
-// formula is trivially satisfiable (every selector may be false), so it
-// only answers questions through assumptions.
-//
-// Returns the formula and the k+1 selector variables, indexed by depth.
-func (sc *SeqCircuit) UnrollIncremental(k int) (*cnf.Formula, []cnf.Var, error) {
-	if err := sc.Validate(); err != nil {
-		return nil, nil, err
-	}
-	b := cnf.NewBuilder()
-	bad := sc.unrollFrames(b, k)
-	sels := make([]cnf.Var, k+1)
-	for d := 0; d <= k; d++ {
-		sels[d] = b.Fresh()
-		cls := make([]cnf.Lit, 0, d+2)
-		cls = append(cls, cnf.NegLit(sels[d]))
-		cls = append(cls, bad[:d+1]...)
-		b.Clause(cls...)
-	}
-	f := b.Formula()
-	f.Comments = append(f.Comments, fmt.Sprintf("bmc: %s incrementally unrolled %d steps", sc.Name, k))
-	return f, sels, nil
-}
-
-// unrollFrames stamps frames 0..k of the transition relation into b and
-// returns the per-frame property-failure literals (fail_t is true iff the
-// property is violated in frame t). The one-shot unrollers share the
-// streaming Unroller's frame stamper.
-func (sc *SeqCircuit) unrollFrames(b *cnf.Builder, k int) []cnf.Lit {
 	u := &Unroller{sc: sc, b: b}
 	u.initFrame0()
 	for t := 0; t <= k; t++ {
 		u.Step()
 	}
-	return u.bad
+	b.Clause(u.bad...)
+	f := b.Formula()
+	f.Comments = append(f.Comments, fmt.Sprintf("bmc: %s unrolled %d steps", sc.Name, k))
+	return f, nil
 }
 
 // Unroller streams a circuit's BMC encoding one frame at a time, for

@@ -1,4 +1,4 @@
-package portfolio
+package conc
 
 import (
 	"testing"
@@ -17,7 +17,7 @@ func TestHubDedupIsOrderIndependent(t *testing.T) {
 	for _, s := range []*core.Solver{a, b} {
 		s.AddFormula(cnf.New(8))
 	}
-	h := NewHub([]*core.Solver{a, b})
+	h := newHub([]*core.Solver{a, b})
 
 	h.Publish(0, []cnf.Lit{cnf.PosLit(1), cnf.NegLit(2), cnf.PosLit(3)}, 2)
 	h.Publish(1, []cnf.Lit{cnf.PosLit(3), cnf.PosLit(1), cnf.NegLit(2)}, 2)
@@ -40,7 +40,7 @@ func TestHubPublishFromOutside(t *testing.T) {
 	for _, s := range []*core.Solver{a, b} {
 		s.AddFormula(cnf.New(4))
 	}
-	h := NewHub([]*core.Solver{a, b})
+	h := newHub([]*core.Solver{a, b})
 	h.Publish(-1, []cnf.Lit{cnf.PosLit(1), cnf.PosLit(2)}, 2)
 	for i, s := range []*core.Solver{a, b} {
 		r := s.Solve()
@@ -61,7 +61,7 @@ func TestHubPublishFromOutside(t *testing.T) {
 func BenchmarkHubPublish(b *testing.B) {
 	s := core.New(core.DefaultOptions())
 	s.AddFormula(cnf.New(16))
-	h := NewHub([]*core.Solver{s})
+	h := newHub([]*core.Solver{s})
 
 	// A rotating set of clauses, all published once up front so the
 	// benchmark loop exercises the dedup-hit path.

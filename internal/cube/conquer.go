@@ -11,7 +11,6 @@ import (
 	"berkmin/internal/cnf"
 	"berkmin/internal/conc"
 	"berkmin/internal/core"
-	"berkmin/internal/portfolio"
 )
 
 // Options configures a cube-and-conquer solve.
@@ -24,19 +23,13 @@ type Options struct {
 	MaxCubes int
 	// MaxDepth bounds the split depth (0 means DefaultMaxDepth).
 	MaxDepth int
-	// Probes is the number of candidate variables probed per split node
-	// (0 means DefaultProbes).
-	Probes int
-	// ShareMaxLen caps the length of learnt clauses exchanged between
-	// workers through the portfolio hub: 0 means
-	// portfolio.DefaultShareMaxLen, negative disables sharing. Sharing
-	// is inert when Proof is set: imported clauses need not be RUP for
-	// the importer's own trace, so proof-logging workers drop imports
-	// (core.Import's rule) and the stitched proof stays self-contained.
-	ShareMaxLen int
-	// ShareMaxGlue additionally exchanges clauses of glue at most this,
-	// regardless of length: 0 means portfolio.DefaultShareMaxGlue,
-	// negative disables the glue route.
+	// ShareMaxGlue is the glue cap for clauses exchanged between workers
+	// through the conc hub, on top of the conc.ShareMaxLen length cap: 0
+	// means conc.DefaultShareMaxGlue, negative disables the glue route.
+	// Sharing is off when Proof is set: imported clauses need not be RUP
+	// for the importer's own trace, so proof-logging workers would drop
+	// imports anyway (core.Import's rule) and the stitched proof stays
+	// self-contained.
 	ShareMaxGlue int
 	// Conquer configures the workers (zero value means
 	// core.DefaultOptions()). Workers differ only in Seed; the cuber has
@@ -125,8 +118,7 @@ type engine struct {
 	cubes   [][]cnf.Lit
 	solvers []*core.Solver
 	deques  []deque
-	hub     *portfolio.Hub
-	shareOK bool
+	hub     *conc.Hub // nil when sharing is off
 
 	deadline time.Time
 
@@ -197,7 +189,7 @@ func (e *engine) worker(i int) {
 			return
 		case core.StatusUnsat:
 			e.solved.Add(1)
-			if e.shareOK {
+			if e.hub != nil {
 				// The refuted cube's core is a clause of the formula's
 				// consequences: broadcast it so other workers prune
 				// related cubes early. from = -1 reaches everyone,
@@ -246,58 +238,23 @@ func negate(lits []cnf.Lit) []cnf.Lit {
 	return out
 }
 
-// Solve runs cube-and-conquer on f.
-func Solve(f *cnf.Formula, opt Options) Result {
-	return SolveContext(context.Background(), f, opt)
-}
-
-// SolveContext is Solve with cancellation: when ctx fires, the cuber
-// stops at its next node, every worker is interrupted, and the result
-// reports StopInterrupted.
-func SolveContext(ctx context.Context, f *cnf.Formula, opt Options) Result {
+// SolveContext runs cube-and-conquer over an already-loaded master: it
+// cubes on a scratch clone of master, then conquers with master itself as
+// worker 0 (so master is mutated — pass a dedicated solver) plus clones.
+// When ctx fires, the cuber stops at its next node, every worker is
+// interrupted, and the result reports StopInterrupted. The model is in the
+// master's variable space and the stitched proof refutes the master's
+// formula; reconstruction, verification and any preprocessing trace that
+// leads the proof stay with the caller (the root package's SolveCubes).
+func SolveContext(ctx context.Context, master *core.Solver, opt Options) (res Result) {
 	start := time.Now()
-	opt = opt.withDefaults()
-
-	var deadline time.Time
-	if opt.MaxTime > 0 {
-		deadline = start.Add(opt.MaxTime)
-	}
-
-	master := core.New(opt.Conquer)
-	master.AddFormula(f)
-	res := solve(ctx, master, opt, deadline)
-	res.Runtime = time.Since(start)
-
-	if res.Status == core.StatusSat && !cnf.Assignment(res.Model).Satisfies(f) {
-		// A wrong model here means an unsound split or broken worker
-		// isolation; fail loudly rather than hand back a bad witness.
-		panic("cube: internal error: winning model does not satisfy the formula")
-	}
-	return res
-}
-
-// SolveFromSolver conquers over clones of an already-loaded base solver
-// (e.g. a preprocessed master): the base itself is used as worker 0 and
-// is mutated, so pass a dedicated clone when the base must survive. The
-// model is returned in the base's variable space; reconstruction against
-// any original formula stays with the caller, as does proof composition
-// (the stitched proof refutes the base's formula, not a pre-simplified
-// original).
-func SolveFromSolver(base *core.Solver, opt Options) Result {
-	start := time.Now()
+	defer func() { res.Runtime = time.Since(start) }()
 	opt = opt.withDefaults()
 	var deadline time.Time
 	if opt.MaxTime > 0 {
 		deadline = start.Add(opt.MaxTime)
 	}
-	res := solve(context.Background(), base, opt, deadline)
-	res.Runtime = time.Since(start)
-	return res
-}
 
-// solve is the shared driver: cube on a scratch clone of master, then
-// conquer with master plus clones as the worker pool.
-func solve(ctx context.Context, master *core.Solver, opt Options, deadline time.Time) Result {
 	if master.Dead() {
 		// Level-0 refutation during clause ingestion: the empty clause
 		// is derivable by propagation alone, which is the one-line proof.
@@ -358,28 +315,8 @@ func solve(ctx context.Context, master *core.Solver, opt Options, deadline time.
 		}
 	}
 
-	shareLen := opt.ShareMaxLen
-	if shareLen == 0 {
-		shareLen = portfolio.DefaultShareMaxLen
-	}
-	shareGlue := opt.ShareMaxGlue
-	if shareGlue == 0 {
-		shareGlue = portfolio.DefaultShareMaxGlue
-	}
-	// Sharing under proof logging would be inert anyway (workers drop
-	// imports to keep their traces self-contained); skip the wiring.
-	if shareLen > 0 && w > 1 && opt.Proof == nil {
-		e.shareOK = true
-		e.hub = portfolio.NewHub(e.solvers)
-		for i := range e.solvers {
-			i := i
-			e.solvers[i].SetLearntExport(shareLen, func(lits []cnf.Lit, glue int) {
-				e.hub.Publish(i, lits, glue)
-			})
-			if shareGlue > 0 {
-				e.solvers[i].SetLearntExportGlue(shareGlue)
-			}
-		}
+	if opt.Proof == nil { // see Options.ShareMaxGlue
+		e.hub = conc.Share(e.solvers, opt.ShareMaxGlue)
 	}
 
 	// Deal the cubes in contiguous blocks: neighbouring cubes share a
@@ -389,20 +326,7 @@ func solve(ctx context.Context, master *core.Solver, opt Options, deadline time.
 		e.deques[i*w/len(cubes)].items = append(e.deques[i*w/len(cubes)].items, i)
 	}
 
-	var watcher chan struct{}
-	if ctx.Done() != nil {
-		quit := make(chan struct{})
-		watcher = make(chan struct{})
-		go func() {
-			defer close(watcher)
-			select {
-			case <-ctx.Done():
-				e.fail(core.StopInterrupted)
-			case <-quit:
-			}
-		}()
-		defer func() { close(quit); <-watcher }()
-	}
+	defer conc.OnDone(ctx, func() { e.fail(core.StopInterrupted) })()
 
 	var wg sync.WaitGroup
 	for i := 0; i < w; i++ {
@@ -414,7 +338,7 @@ func solve(ctx context.Context, master *core.Solver, opt Options, deadline time.
 	}
 	wg.Wait()
 
-	res := Result{
+	res = Result{
 		Cubes:   len(cubes),
 		Refuted: cuber.refuted,
 		Solved:  int(e.solved.Load()),

@@ -14,8 +14,8 @@
 // branching matters most and hands the leaves to cheap, clause-learning
 // workers. Everything here is an extension beyond the BerkMin paper,
 // built on the substrate the repo already has — cheap Clone, assumption
-// solving with failed-assumption extraction, and the portfolio's
-// clause-sharing hub.
+// solving with failed-assumption extraction, and the clause-sharing
+// hub of package conc.
 package cube
 
 import (
@@ -23,17 +23,19 @@ import (
 	"time"
 
 	"berkmin/internal/cnf"
+	"berkmin/internal/conc"
 	"berkmin/internal/core"
 )
 
 // Defaults for the cutoff heuristics. MaxCubes bounds the open leaves the
-// cuber may produce; MaxDepth bounds the split depth; Probes is how many
-// candidate variables are probed per node.
+// cuber may produce; MaxDepth bounds the split depth.
 const (
 	DefaultMaxCubes = 256
 	DefaultMaxDepth = 14
-	DefaultProbes   = 16
 )
+
+// probes is how many candidate variables are probed per split node.
+const probes = 16
 
 // fillNum/fillDen: stop splitting once fillNum/fillDen of the variables
 // are already assigned under the cube — the remaining subproblem is small
@@ -70,7 +72,6 @@ type cuber struct {
 	occ      []int32 // static per-literal occurrence counts
 	maxCubes int
 	maxDepth int
-	probes   int
 	cancel   func() bool
 	path     []cnf.Lit // cube literals along the current DFS path
 	cubes    [][]cnf.Lit
@@ -90,7 +91,6 @@ func newCuber(s *core.Solver, opt Options, cancel func() bool) *cuber {
 		occ:      s.LitOccurrences(),
 		maxCubes: opt.MaxCubes,
 		maxDepth: opt.MaxDepth,
-		probes:   opt.Probes,
 		cancel:   cancel,
 	}
 }
@@ -174,8 +174,8 @@ func (c *cuber) pickVar() cnf.Var {
 		return 0
 	}
 	sort.Slice(cands, func(i, j int) bool { return cands[i].stat > cands[j].stat })
-	if len(cands) > c.probes {
-		cands = cands[:c.probes]
+	if len(cands) > probes {
+		cands = cands[:probes]
 	}
 
 	lvl := c.s.ProbeLevel()
@@ -229,8 +229,8 @@ func (opt Options) withDefaults() Options {
 	if opt.MaxDepth <= 0 {
 		opt.MaxDepth = DefaultMaxDepth
 	}
-	if opt.Probes <= 0 {
-		opt.Probes = DefaultProbes
+	if opt.ShareMaxGlue == 0 {
+		opt.ShareMaxGlue = conc.DefaultShareMaxGlue
 	}
 	if opt.Conquer == (core.Options{}) {
 		opt.Conquer = core.DefaultOptions()

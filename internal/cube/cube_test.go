@@ -12,6 +12,14 @@ import (
 	"berkmin/internal/gen"
 )
 
+// conquer loads f into a fresh master and conquers it: the formula-in
+// call every test here shares.
+func conquer(ctx context.Context, f *cnf.Formula, opt Options) Result {
+	master := core.New(core.DefaultOptions())
+	master.AddFormula(f)
+	return SolveContext(ctx, master, opt)
+}
+
 func TestSplitShape(t *testing.T) {
 	f := gen.Pigeonhole(7).Formula
 	cubes := Split(f, Options{MaxCubes: 32, MaxDepth: 6})
@@ -34,7 +42,7 @@ func TestSplitShape(t *testing.T) {
 
 func TestCubeSat(t *testing.T) {
 	f := gen.Queens(8).Formula
-	r := Solve(f, Options{Jobs: 2, MaxCubes: 16})
+	r := conquer(context.Background(), f, Options{Jobs: 2, MaxCubes: 16})
 	if r.Status != core.StatusSat {
 		t.Fatalf("status = %v", r.Status)
 	}
@@ -46,7 +54,7 @@ func TestCubeSat(t *testing.T) {
 func TestCubeUnsatWithStitchedProof(t *testing.T) {
 	f := gen.Pigeonhole(7).Formula
 	var proof bytes.Buffer
-	r := Solve(f, Options{Jobs: 2, MaxCubes: 16, Proof: &proof})
+	r := conquer(context.Background(), f, Options{Jobs: 2, MaxCubes: 16, Proof: &proof})
 	if r.Status != core.StatusUnsat {
 		t.Fatalf("status = %v", r.Status)
 	}
@@ -66,7 +74,7 @@ func TestCubeUnsatWithStitchedProof(t *testing.T) {
 // still be correct with clauses flowing between workers.
 func TestCubeUnsatSharing(t *testing.T) {
 	f := gen.Pigeonhole(8).Formula
-	r := Solve(f, Options{Jobs: 4, MaxCubes: 64})
+	r := conquer(context.Background(), f, Options{Jobs: 4, MaxCubes: 64})
 	if r.Status != core.StatusUnsat {
 		t.Fatalf("status = %v", r.Status)
 	}
@@ -82,7 +90,7 @@ func TestCubeRefutedAtIngestion(t *testing.T) {
 	f.Add(cnf.NewClause(1))
 	f.Add(cnf.NewClause(-1))
 	var proof bytes.Buffer
-	r := Solve(f, Options{Proof: &proof})
+	r := conquer(context.Background(), f, Options{Proof: &proof})
 	if r.Status != core.StatusUnsat {
 		t.Fatalf("status = %v", r.Status)
 	}
@@ -94,7 +102,7 @@ func TestCubeRefutedAtIngestion(t *testing.T) {
 
 func TestCubeDeadline(t *testing.T) {
 	f := gen.Pigeonhole(10).Formula
-	r := Solve(f, Options{Jobs: 2, MaxTime: 10 * time.Millisecond})
+	r := conquer(context.Background(), f, Options{Jobs: 2, MaxTime: 10 * time.Millisecond})
 	if r.Status == core.StatusSat {
 		t.Fatalf("pigeonhole(10) cannot be SAT: %v", r.Status)
 	}
@@ -107,19 +115,20 @@ func TestCubeContextCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	f := gen.Pigeonhole(9).Formula
-	r := SolveContext(ctx, f, Options{Jobs: 2})
+	r := conquer(ctx, f, Options{Jobs: 2})
 	if r.Status != core.StatusUnknown || r.Stop != core.StopInterrupted {
 		t.Fatalf("status = %v stop = %v", r.Status, r.Stop)
 	}
 }
 
-// TestCubeFromSolver: conquering from a preloaded base solver, the
-// portfolio-server idiom.
+// TestCubeFromSolver: conquering from a preloaded master whose
+// options differ from the workers' configuration — the workers are
+// reconfigured, and the master serves as worker 0.
 func TestCubeFromSolver(t *testing.T) {
 	f := gen.Queens(7).Formula
-	base := core.New(core.DefaultOptions())
-	base.AddFormula(f)
-	r := SolveFromSolver(base, Options{Jobs: 2, MaxCubes: 8})
+	master := core.New(core.ChaffOptions())
+	master.AddFormula(f)
+	r := SolveContext(context.Background(), master, Options{Jobs: 2, MaxCubes: 8})
 	if r.Status != core.StatusSat {
 		t.Fatalf("status = %v", r.Status)
 	}

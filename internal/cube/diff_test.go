@@ -2,6 +2,7 @@ package cube
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -15,9 +16,8 @@ import (
 // Differential property: cube-and-conquer must agree with a sequential
 // solve on every formula — splitting, work stealing, clause sharing and
 // proof stitching are all implementation detail that may never change
-// answers. SAT models must satisfy the formula (Solve also self-checks
-// this) and every UNSAT verdict's stitched DRUP proof must verify
-// against the original CNF.
+// answers. SAT models must satisfy the formula and every UNSAT verdict's
+// stitched DRUP proof must verify against the original CNF.
 
 // diffCube cross-checks one formula.
 func diffCube(t *testing.T, f *cnf.Formula, opt Options) {
@@ -28,7 +28,7 @@ func diffCube(t *testing.T, f *cnf.Formula, opt Options) {
 
 	var proof bytes.Buffer
 	opt.Proof = &proof
-	r := Solve(f, opt)
+	r := conquer(context.Background(), f, opt)
 	if r.Status != want {
 		t.Fatalf("cube %v, sequential %v", r.Status, want)
 	}
@@ -52,7 +52,7 @@ func diffCube(t *testing.T, f *cnf.Formula, opt Options) {
 	// The same formula again without a proof writer, so the sharing path
 	// (inert under proof logging) gets differential coverage too.
 	opt.Proof = nil
-	if r2 := Solve(f, opt); r2.Status != want {
+	if r2 := conquer(context.Background(), f, opt); r2.Status != want {
 		t.Fatalf("cube with sharing %v, sequential %v", r2.Status, want)
 	}
 }

@@ -1,6 +1,7 @@
 package portfolio
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -8,6 +9,14 @@ import (
 	"berkmin/internal/core"
 	"berkmin/internal/gen"
 )
+
+// solve loads f into a fresh master and races the portfolio over it: the
+// formula-in call the tests share.
+func solve(f *cnf.Formula, opt Options) Result {
+	master := core.New(core.DefaultOptions())
+	master.AddFormula(f)
+	return Race(context.Background(), master, opt)
+}
 
 // TestAgreesWithSequential: whatever member wins, the portfolio's answer
 // matches the sequential solver's on SAT and UNSAT instances alike.
@@ -23,7 +32,7 @@ func TestAgreesWithSequential(t *testing.T) {
 		seq.AddFormula(inst.Formula)
 		want := seq.Solve().Status
 
-		got := Solve(inst.Formula, Options{Jobs: 4})
+		got := solve(inst.Formula, Options{Jobs: 4})
 		if got.Status != want {
 			t.Fatalf("%s: portfolio %v, sequential %v", inst.Name, got.Status, want)
 		}
@@ -47,7 +56,7 @@ func TestAgreesWithSequential(t *testing.T) {
 // interrupted; no goroutine is left behind and no job slot stays empty.
 func TestLosersAreCancelled(t *testing.T) {
 	inst := gen.Pigeonhole(7)
-	r := Solve(inst.Formula, Options{Jobs: 4})
+	r := solve(inst.Formula, Options{Jobs: 4})
 	if r.Status != core.StatusUnsat {
 		t.Fatalf("status = %v", r.Status)
 	}
@@ -74,7 +83,7 @@ func TestLosersAreCancelled(t *testing.T) {
 // unknown, with a resource-limit stop reason and no winner.
 func TestBudgetExhaustion(t *testing.T) {
 	inst := gen.Pigeonhole(10)
-	r := Solve(inst.Formula, Options{Jobs: 3, MaxConflicts: 10})
+	r := solve(inst.Formula, Options{Jobs: 3, MaxConflicts: 10})
 	if r.Status != core.StatusUnknown {
 		t.Fatalf("status = %v", r.Status)
 	}
@@ -90,24 +99,12 @@ func TestBudgetExhaustion(t *testing.T) {
 // with thousands of conflicts at least one clause crosses the hub.
 func TestClauseSharing(t *testing.T) {
 	inst := gen.Pigeonhole(7)
-	r := Solve(inst.Formula, Options{Jobs: 4, ShareMaxLen: 20})
+	r := solve(inst.Formula, Options{Jobs: 4})
 	if r.Status != core.StatusUnsat {
 		t.Fatalf("status = %v", r.Status)
 	}
 	if r.SharedClauses() == 0 {
 		t.Fatal("no clauses shared between members")
-	}
-}
-
-// TestSharingDisabled: a negative ShareMaxLen turns the hub off.
-func TestSharingDisabled(t *testing.T) {
-	inst := gen.Pigeonhole(6)
-	r := Solve(inst.Formula, Options{Jobs: 2, ShareMaxLen: -1})
-	if r.Status != core.StatusUnsat {
-		t.Fatalf("status = %v", r.Status)
-	}
-	if n := r.SharedClauses(); n != 0 {
-		t.Fatalf("shared %d clauses with sharing disabled", n)
 	}
 }
 
@@ -132,43 +129,9 @@ func TestVariantsDiversified(t *testing.T) {
 	}
 }
 
-// TestExplicitConfigs: Options.Configs overrides Jobs and the default
-// diversification.
-func TestExplicitConfigs(t *testing.T) {
-	inst := gen.Pigeonhole(5)
-	r := Solve(inst.Formula, Options{
-		Jobs: 99, // ignored
-		Configs: []Config{
-			{Name: "a", Opt: core.DefaultOptions()},
-			{Name: "b", Opt: core.ChaffOptions()},
-		},
-	})
-	if len(r.Jobs) != 2 {
-		t.Fatalf("%d jobs, want 2", len(r.Jobs))
-	}
-	if r.Status != core.StatusUnsat {
-		t.Fatalf("status = %v", r.Status)
-	}
-	if r.Winner != "a" && r.Winner != "b" {
-		t.Fatalf("winner = %q", r.Winner)
-	}
-}
-
-// TestPerConfigBudgetsKept: explicit member budgets survive when the
-// portfolio-level budget fields are left at zero.
-func TestPerConfigBudgetsKept(t *testing.T) {
-	inst := gen.Pigeonhole(10)
-	o := core.DefaultOptions()
-	o.MaxConflicts = 10
-	r := Solve(inst.Formula, Options{Configs: []Config{{Name: "budgeted", Opt: o}}})
-	if r.Status != core.StatusUnknown || r.Stop != core.StopConflicts {
-		t.Fatalf("member budget was discarded: %v/%v", r.Status, r.Stop)
-	}
-}
-
 // TestSolveFromSolver: racing clones of an already-loaded base solver
 // agrees with the sequential answer, and the base itself stays untouched —
-// it can serve further calls and even be solved on afterwards.
+// it can serve further Race calls and even be solved on afterwards.
 func TestSolveFromSolver(t *testing.T) {
 	insts := []gen.Instance{
 		gen.Pigeonhole(6),     // unsat
@@ -183,7 +146,7 @@ func TestSolveFromSolver(t *testing.T) {
 		base.AddFormula(inst.Formula)
 		before := base.Stats()
 		for round := 0; round < 2; round++ {
-			r := SolveFromSolver(base, Options{Jobs: 3})
+			r := Race(context.Background(), base, Options{Jobs: 3})
 			if r.Status != want {
 				t.Fatalf("%s round %d: portfolio %v, sequential %v", inst.Name, round, r.Status, want)
 			}
@@ -193,7 +156,7 @@ func TestSolveFromSolver(t *testing.T) {
 		}
 		after := base.Stats()
 		if after.Conflicts != before.Conflicts || after.Propagations != before.Propagations {
-			t.Fatalf("%s: base solver was mutated by SolveFromSolver", inst.Name)
+			t.Fatalf("%s: base solver was mutated by Race", inst.Name)
 		}
 		if got := base.Solve().Status; got != want {
 			t.Fatalf("%s: base solves to %v after serving clones, want %v", inst.Name, got, want)
@@ -208,7 +171,7 @@ func TestInterruptLatency(t *testing.T) {
 	f := cnf.New(2)
 	f.Add(cnf.NewClause(1, 2))
 	start := time.Now()
-	r := Solve(f, Options{Jobs: 4})
+	r := solve(f, Options{Jobs: 4})
 	if r.Status != core.StatusSat {
 		t.Fatalf("status = %v", r.Status)
 	}

@@ -167,6 +167,15 @@ func TestSolveParallelSimplify(t *testing.T) {
 	if res.Status != berkmin.StatusUnsat {
 		t.Fatalf("status = %v, want UNSAT", res.Status)
 	}
+
+	// Refuted by preprocessing alone: no member races.
+	res = berkmin.SolveParallel(refutedBySimplify(t), berkmin.ParallelOptions{
+		Jobs:     3,
+		Simplify: true,
+	})
+	if res.Status != berkmin.StatusUnsat || res.Winner != "simplify" {
+		t.Fatalf("status = %v, winner = %q; want UNSAT from simplify", res.Status, res.Winner)
+	}
 }
 
 // TestSetSimplifyNilDisables: disabling with nil — even after clauses were

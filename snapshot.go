@@ -2,30 +2,22 @@ package berkmin
 
 import (
 	"context"
+	"maps"
 	"sync"
-	"time"
 
 	"berkmin/internal/cnf"
-	"berkmin/internal/core"
-	"berkmin/internal/portfolio"
-	"berkmin/internal/simplify"
 )
 
 // Snapshot is an immutable capture of a loaded (and, when SetSimplify is
-// enabled, preprocessed) formula. Taking one pays clause ingestion and
-// preprocessing exactly once; every solver derived from it — NewSolver,
-// a Pool, or SolveParallel's portfolio members — starts from an O(formula)
-// clone instead of re-feeding and re-simplifying the input. A Snapshot is
-// safe for concurrent use: derived solvers share no mutable state with it
-// or with each other.
+// enabled, preprocessed) formula: a frozen Solver. Taking one pays clause
+// ingestion and preprocessing exactly once; every solver derived from it —
+// NewSolver, a Pool, or SolveParallel's portfolio members — starts from an
+// O(formula) clone instead of re-feeding and re-simplifying the input. A
+// Snapshot is safe for concurrent use: its base is never solved on, only
+// cloned and read (model reconstruction and verification), and derived
+// solvers share no mutable state with it or with each other.
 type Snapshot struct {
-	master   *core.Solver
-	pristine *cnf.Formula // original clauses, for model checking; never mutated
-	outcome  *simplify.Outcome
-	baseView *simplify.View  // restoration state at capture time (nil without simplify)
-	elims    map[cnf.Var]int // still-eliminated variables at capture time
-	verify   bool
-	maxTime  time.Duration // Options.MaxTime, inherited by derived solvers
+	base *Solver
 }
 
 // shallowFormula returns a read-only sharing copy of f: same backing
@@ -39,49 +31,15 @@ func shallowFormula(f *cnf.Formula) *cnf.Formula {
 	}
 }
 
-func copyElims(m map[cnf.Var]int) map[cnf.Var]int {
-	if len(m) == 0 {
-		return nil
-	}
-	out := make(map[cnf.Var]int, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
-}
-
 // Snapshot captures the solver's current formula as an immutable snapshot.
 // Pending preprocessing runs first (so it is paid here, once), and the
 // solver itself remains fully usable and independent afterwards — the
 // snapshot holds its own clone. Learnt clauses accumulated so far are
 // carried into the snapshot and seed every derived solver.
-func (s *Solver) Snapshot() *Snapshot {
-	s.preprocess()
-	return &Snapshot{
-		master:   s.core.Clone(),
-		pristine: shallowFormula(s.pristine),
-		outcome:  s.outcome,
-		baseView: cloneView(s.view),
-		elims:    copyElims(s.elimIndex),
-		verify:   s.verify,
-		maxTime:  s.maxTime,
-	}
-}
-
-func cloneView(v *simplify.View) *simplify.View {
-	if v == nil {
-		return nil
-	}
-	return v.Clone()
-}
+func (s *Solver) Snapshot() *Snapshot { return &Snapshot{base: s.Clone()} }
 
 // NumVars returns the number of variables in the snapshot's formula.
-func (sn *Snapshot) NumVars() int {
-	if n := sn.pristine.NumVars; n > sn.master.NumVars() {
-		return n
-	}
-	return sn.master.NumVars()
-}
+func (sn *Snapshot) NumVars() int { return sn.base.NumVars() }
 
 // NewSolver returns a fresh solver loaded with the snapshot's formula.
 // The call is O(formula) — no clause re-ingestion, no preprocessing — and
@@ -89,18 +47,7 @@ func (sn *Snapshot) NumVars() int {
 // solvers derived from one snapshot may run concurrently. The new solver
 // supports the full incremental API (SolveAssuming, AddClause, further
 // Solve calls); it starts without a proof writer.
-func (sn *Snapshot) NewSolver() *Solver {
-	return &Solver{
-		core:      sn.master.Clone(),
-		pristine:  shallowFormula(sn.pristine),
-		verify:    sn.verify,
-		maxTime:   sn.maxTime,
-		fed:       true,
-		outcome:   sn.outcome,
-		view:      cloneView(sn.baseView),
-		elimIndex: copyElims(sn.elims),
-	}
-}
+func (sn *Snapshot) NewSolver() *Solver { return sn.base.Clone() }
 
 // Reset returns the solver to its post-load state: search state (trail,
 // heuristic activities, saved phases, restart/reduce schedules) and all
@@ -123,16 +70,21 @@ func (s *Solver) Reset() {
 // writer to the clone if needed.
 func (s *Solver) Clone() *Solver {
 	s.preprocess()
-	return &Solver{
-		core:      s.core.Clone(),
-		pristine:  shallowFormula(s.pristine),
-		verify:    s.verify,
-		maxTime:   s.maxTime,
-		fed:       true,
-		outcome:   s.outcome,
-		view:      cloneView(s.view),
-		elimIndex: copyElims(s.elimIndex),
+	c := &Solver{
+		core:     s.core.Clone(),
+		pristine: shallowFormula(s.pristine),
+		verify:   s.verify,
+		maxTime:  s.maxTime,
+		fed:      true,
+		outcome:  s.outcome,
 	}
+	if s.view != nil {
+		c.view = s.view.Clone()
+	}
+	if len(s.elimIndex) > 0 {
+		c.elimIndex = maps.Clone(s.elimIndex)
+	}
+	return c
 }
 
 // Pool is a concurrency-safe free list of solvers derived from one
@@ -209,7 +161,7 @@ func (p *Pool) Put(s *Solver) {
 	if s == nil {
 		return
 	}
-	if s.proofW != nil || len(s.pristine.Clauses) != len(p.snap.pristine.Clauses) {
+	if s.proofW != nil || len(s.pristine.Clauses) != len(p.snap.base.pristine.Clauses) {
 		p.mu.Lock()
 		p.stats.Dropped++
 		p.mu.Unlock()
@@ -229,29 +181,10 @@ func (p *Pool) Put(s *Solver) {
 // SolveParallel races a portfolio of diversified configurations over the
 // snapshot, like the package-level SolveParallel, but without re-paying
 // preprocessing or clause ingestion: every member is a clone of the
-// snapshot's master. opt.Simplify is ignored — the snapshot's own
+// snapshot's base. opt.Simplify is ignored — the snapshot's own
 // preprocessing (or lack of it) is what the members search on. The
 // snapshot remains untouched and reusable.
 func (sn *Snapshot) SolveParallel(opt ParallelOptions) ParallelResult {
-	return sn.solveParallel(context.Background(), opt)
-}
-
-func (sn *Snapshot) solveParallel(ctx context.Context, opt ParallelOptions) ParallelResult {
-	r := portfolio.SolveFromSolverContext(ctx, sn.master, portfolio.Options{
-		Jobs:         opt.Jobs,
-		ShareMaxLen:  opt.ShareMaxLen,
-		ShareMaxGlue: opt.ShareMaxGlue,
-		MaxConflicts: opt.MaxConflicts,
-		MaxTime:      opt.MaxTime,
-		BaseSeed:     opt.Seed,
-	})
-	if r.Status == StatusSat {
-		if sn.outcome != nil {
-			r.Model = sn.baseView.Extend(r.Model)
-		}
-		if sn.verify && !cnf.Assignment(r.Model).Satisfies(sn.pristine) {
-			panic("berkmin: internal error: model does not satisfy the input formula")
-		}
-	}
-	return ParallelResult{Result: r.Result, Winner: r.Winner}
+	r, _ := sn.SolveParallelContext(context.Background(), opt)
+	return r
 }

@@ -204,8 +204,9 @@ func TestSnapshotAssumeEliminatedVar(t *testing.T) {
 }
 
 // TestSnapshotSolveParallel: the snapshot-based portfolio agrees with the
-// sequential answer on SAT and UNSAT instances, and the snapshot survives
-// to serve a second call.
+// sequential answer on SAT and UNSAT instances, and the snapshot's shared
+// base serves concurrent calls — and concurrent NewSolver clones — while
+// staying reusable.
 func TestSnapshotSolveParallel(t *testing.T) {
 	insts := []Instance{
 		Parity(32, 36, 9), // sat
@@ -221,11 +222,25 @@ func TestSnapshotSolveParallel(t *testing.T) {
 		src.SetSimplify(&so)
 		src.AddFormula(inst.Formula)
 		sn := src.Snapshot()
+		var wg sync.WaitGroup
 		for round := 0; round < 2; round++ {
-			r := sn.SolveParallel(ParallelOptions{Jobs: 3})
-			if r.Status != want {
-				t.Fatalf("%s round %d: portfolio %v, sequential %v", inst.Name, round, r.Status, want)
-			}
+			wg.Add(2)
+			go func() {
+				defer wg.Done()
+				if r := sn.SolveParallel(ParallelOptions{Jobs: 3}); r.Status != want {
+					t.Errorf("%s round %d: portfolio %v, sequential %v", inst.Name, round, r.Status, want)
+				}
+			}()
+			go func() {
+				defer wg.Done()
+				if r := sn.NewSolver().Solve(); r.Status != want {
+					t.Errorf("%s round %d: derived solver %v, sequential %v", inst.Name, round, r.Status, want)
+				}
+			}()
+		}
+		wg.Wait()
+		if r := SolveParallel(inst.Formula, ParallelOptions{Jobs: 3, Simplify: true}); r.Status != want {
+			t.Fatalf("%s: package-level portfolio %v, sequential %v", inst.Name, r.Status, want)
 		}
 	}
 }
