@@ -11,6 +11,7 @@ package core
 
 import (
 	"io"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -253,24 +254,34 @@ func (s *Solver) ensureVars(n int) {
 		return
 	}
 	s.nVars = n
-	for len(s.assigns) <= n {
-		s.assigns = append(s.assigns, lUndef)
-		s.vlevel = append(s.vlevel, 0)
-		s.reason = append(s.reason, refUndef)
-		s.binReason = append(s.binReason, cnf.LitUndef)
-		s.seen = append(s.seen, false)
-		s.phase = append(s.phase, lUndef)
-		// glueSeen is indexed by decision level, which never exceeds the
-		// variable count; growing it in lockstep keeps computeGlue
-		// allocation-free.
-		s.glueSeen = append(s.glueSeen, 0)
-	}
-	for len(s.watches) <= 2*n+1 {
-		s.watches = append(s.watches, nil)
-		s.binWatches = append(s.binWatches, nil)
-		s.binOcc = append(s.binOcc, nil)
-	}
+	add := n + 1 - len(s.assigns)
+	s.assigns = appendN(s.assigns, add, lUndef)
+	s.vlevel = appendN(s.vlevel, add, 0)
+	s.reason = appendN(s.reason, add, refUndef)
+	s.binReason = appendN(s.binReason, add, cnf.LitUndef)
+	s.seen = appendN(s.seen, add, false)
+	s.phase = appendN(s.phase, add, lUndef)
+	// glueSeen is indexed by decision level, which never exceeds the
+	// variable count; growing it in lockstep keeps computeGlue
+	// allocation-free.
+	s.glueSeen = appendN(s.glueSeen, add, 0)
+	addLit := 2*n + 2 - len(s.watches)
+	s.watches = appendN(s.watches, addLit, nil)
+	s.binWatches = appendN(s.binWatches, addLit, nil)
+	s.binOcc = appendN(s.binOcc, addLit, nil)
 	s.dec.rebuild(n)
+}
+
+// appendN appends k copies of x to xs with at most one reallocation.
+func appendN[T any](xs []T, k int, x T) []T {
+	if k <= 0 {
+		return xs
+	}
+	xs = slices.Grow(xs, k)
+	for range k {
+		xs = append(xs, x)
+	}
+	return xs
 }
 
 // value returns the literal's current three-valued truth value.

@@ -13,6 +13,7 @@ package simplify
 
 import (
 	"io"
+	"slices"
 	"sort"
 	"time"
 
@@ -126,6 +127,14 @@ type simplifier struct {
 	polls   uint
 
 	lineBuf []byte // reusable DRUP line buffer (drup.AppendLine)
+
+	// Elimination scratch, reused across candidates: the live occurrences
+	// of v then ¬v, their current literals (nil when satisfied) carved
+	// from one flat buffer, and per-literal marks for counting resolvents.
+	occBuf []*workClause
+	cur    []cnf.Clause
+	litBuf []cnf.Lit
+	mark   []bool
 }
 
 // outOfBudget polls the configured deadline/stop hook (rate-limited: the
@@ -177,7 +186,7 @@ func (s *simplifier) proofEmpty() {
 
 // Run executes Simplify under an end-to-end wall-clock budget — the one
 // shared implementation of "bound preprocessing, deduct what it used" for
-// every front-end (berkmin.Solver, the portfolio, the bench harness).
+// its callers, the front-end berkmin.Solver and portfolio.SolveContext.
 // When budget > 0, a deadline is installed (unless the caller set one)
 // and the remaining budget is returned with the elapsed time deducted,
 // clamped to 1ms so the follow-on search still times out promptly rather
@@ -222,6 +231,7 @@ func Simplify(f *cnf.Formula, opt Options) *Outcome {
 		opt:    opt,
 		nVars:  f.NumVars,
 		occ:    make([][]*workClause, 2*f.NumVars+2),
+		mark:   make([]bool, 2*f.NumVars+2),
 		assign: make([]int8, f.NumVars+1),
 		out:    &Outcome{},
 		proof:  opt.Proof,
@@ -322,16 +332,26 @@ func (s *simplifier) val(l cnf.Lit) int8 {
 // currentLits returns the clause's literals under the current fixed
 // assignment, or nil when satisfied.
 func (s *simplifier) currentLits(c *workClause) cnf.Clause {
-	out := make(cnf.Clause, 0, len(c.lits))
+	out, sat := s.appendCurrent(make(cnf.Clause, 0, len(c.lits)), c)
+	if sat {
+		return nil
+	}
+	return out
+}
+
+// appendCurrent appends the clause's unassigned literals to buf; when a
+// literal is true it reports satisfied and returns buf unchanged.
+func (s *simplifier) appendCurrent(buf []cnf.Lit, c *workClause) (out []cnf.Lit, satisfied bool) {
+	n := len(buf)
 	for _, l := range c.lits {
 		switch s.val(l) {
 		case 1:
-			return nil
+			return buf[:n], true
 		case 0:
-			out = append(out, l)
+			buf = append(buf, l)
 		}
 	}
-	return out
+	return buf, false
 }
 
 // propagate fixes queued units to a fixpoint; false on conflict.
@@ -499,87 +519,61 @@ func (s *simplifier) eliminationPass() bool {
 		if s.assign[v] != 0 {
 			continue
 		}
-		pos := s.liveOcc(cnf.PosLit(v))
-		neg := s.liveOcc(cnf.NegLit(v))
-		if len(pos) == 0 && len(neg) == 0 {
+		s.occBuf = s.appendLiveOcc(s.occBuf[:0], cnf.PosLit(v))
+		nPos := len(s.occBuf)
+		s.occBuf = s.appendLiveOcc(s.occBuf, cnf.NegLit(v))
+		pure := nPos == 0 || nPos == len(s.occBuf)
+		if len(s.occBuf) == 0 || !pure && len(s.occBuf) > s.opt.MaxOccurrences {
 			continue
 		}
-		if len(pos) == 0 || len(neg) == 0 {
+		cur := s.currentOcc()
+		if pure {
 			// Pure literal: a degenerate variable elimination with zero
 			// resolvents. Dropping every clause containing the literal and
 			// letting Extend pick the satisfying value keeps the proof pure
 			// DRUP (fixing the literal as a unit would not be RUP — a pure
 			// literal is satisfiability-preserving, not implied).
-			occ := pos
-			if len(occ) == 0 {
-				occ = neg
-			}
-			elim := Elim{V: v}
-			for _, c := range occ {
-				if lits := s.currentLits(c); lits != nil {
-					elim.Clauses = append(elim.Clauses, lits)
-				}
-				// No deletion line: eliminated clauses may be Restored
-				// under incremental use, and a checker that kept them only
-				// finds RUP conflicts more easily.
-				c.deleted = true
-			}
-			s.out.Elims = append(s.out.Elims, elim)
-			s.out.EliminatedVars++
+			s.eliminate(v, cur)
 			changed = true
 			continue
 		}
-		if len(pos)+len(neg) > s.opt.MaxOccurrences {
-			continue
-		}
-		// Build all non-tautological resolvents.
-		var resolvents []cnf.Clause
-		ok := true
-		for _, p := range pos {
-			for _, n := range neg {
-				r, taut := resolve(s.currentLits(p), s.currentLits(n), v)
-				if taut {
-					continue
+		curPos, curNeg := cur[:nPos], cur[nPos:]
+		// Outcomes that precede the bound, met in the p-major pair order
+		// the resolvents are built in: a side satisfied under the fixed
+		// assignment postpones v, and the units {v} × {¬v} resolve to the
+		// empty clause. The contradiction is queued; the caller's
+		// propagation turns it into the UNSAT outcome.
+		postpone := false
+	scan:
+		for _, p := range curPos {
+			for _, n := range curNeg {
+				if p == nil || n == nil {
+					postpone = true
+					break scan
 				}
-				if r == nil {
-					ok = false // a clause was satisfied-under-assignment; postpone
-					break
-				}
-				if len(r) == 0 {
-					// Empty resolvent: the formula is unsatisfiable.
-					// Queue the contradiction; the caller's propagation
-					// turns it into the UNSAT outcome.
+				if len(p) == 1 && len(n) == 1 {
 					s.queue = append(s.queue, cnf.PosLit(v), cnf.NegLit(v))
 					return true
 				}
-				resolvents = append(resolvents, r)
-			}
-			if !ok {
-				break
 			}
 		}
-		if !ok || len(resolvents) > len(pos)+len(neg)+s.opt.MaxGrowth {
+		if postpone || !s.resolventsWithin(curPos, curNeg, v, len(s.occBuf)+s.opt.MaxGrowth) {
 			continue
+		}
+		var resolvents []cnf.Clause
+		for _, p := range curPos {
+			for _, n := range curNeg {
+				if r, taut := resolve(p, n, v); !taut {
+					resolvents = append(resolvents, r)
+				}
+			}
 		}
 		// Log every resolvent BEFORE the parent clauses leave the
 		// database: each is RUP only while its parents are live.
 		for _, r := range resolvents {
 			s.proofAdd(r)
 		}
-		// Record the original clauses for model reconstruction, then swap.
-		// As in the pure-literal case, no deletion lines: Restore may
-		// re-add these clauses to the solver under incremental use, and a
-		// clause a checker retains can never break a later RUP step.
-		elim := Elim{V: v}
-		for _, c := range append(append([]*workClause{}, pos...), neg...) {
-			lits := s.currentLits(c)
-			if lits != nil {
-				elim.Clauses = append(elim.Clauses, lits)
-			}
-			c.deleted = true
-		}
-		s.out.Elims = append(s.out.Elims, elim)
-		s.out.EliminatedVars++
+		s.eliminate(v, cur)
 		for _, r := range resolvents {
 			if len(r) == 1 {
 				s.queue = append(s.queue, r[0])
@@ -592,34 +586,93 @@ func (s *simplifier) eliminationPass() bool {
 	return changed
 }
 
-func (s *simplifier) liveOcc(l cnf.Lit) []*workClause {
-	var out []*workClause
-	for _, c := range s.occ[l] {
-		if c.deleted {
-			continue
+// eliminate records the occurrences in occBuf (cur holds their current
+// literals) for model reconstruction and removes them. No deletion lines:
+// Restore may re-add these clauses to the solver under incremental use,
+// and a clause a checker retains can never break a later RUP step.
+func (s *simplifier) eliminate(v cnf.Var, cur []cnf.Clause) {
+	elim := Elim{V: v}
+	for i, c := range s.occBuf {
+		if cur[i] != nil {
+			elim.Clauses = append(elim.Clauses, slices.Clone(cur[i]))
 		}
-		// Strengthening may have removed l; occurrence lists are lazy.
-		has := false
-		for _, x := range c.lits {
-			if x == l {
-				has = true
-				break
-			}
-		}
-		if has {
-			out = append(out, c)
-		}
+		c.deleted = true
 	}
-	return out
+	s.out.Elims = append(s.out.Elims, elim)
+	s.out.EliminatedVars++
 }
 
-// resolve computes the resolvent of a and b on v. Returns (nil, false)
-// when either side is satisfied/absent, (resolvent, false) normally, or
-// (_, true) for a tautological resolvent.
-func resolve(a, b cnf.Clause, v cnf.Var) (cnf.Clause, bool) {
-	if a == nil || b == nil {
-		return nil, false
+// appendLiveOcc appends the live clauses that still contain l to buf
+// (strengthening may have removed l; occurrence lists are lazy).
+func (s *simplifier) appendLiveOcc(buf []*workClause, l cnf.Lit) []*workClause {
+	for _, c := range s.occ[l] {
+		if !c.deleted && slices.Contains(c.lits, l) {
+			buf = append(buf, c)
+		}
 	}
+	return buf
+}
+
+// currentOcc computes the current literals of every clause in occBuf once,
+// into the scratch buffers; a satisfied clause gets nil. The flat buffer
+// is grown once up front, so the appends below never reallocate it.
+func (s *simplifier) currentOcc() []cnf.Clause {
+	n := 0
+	for _, c := range s.occBuf {
+		n += len(c.lits)
+	}
+	buf := slices.Grow(s.litBuf[:0], n)
+	s.cur = s.cur[:0]
+	for _, c := range s.occBuf {
+		start := len(buf)
+		var sat bool
+		if buf, sat = s.appendCurrent(buf, c); sat {
+			s.cur = append(s.cur, nil)
+		} else {
+			s.cur = append(s.cur, buf[start:len(buf):len(buf)])
+		}
+	}
+	s.litBuf = buf
+	return s.cur
+}
+
+// resolventsWithin reports whether pos × neg has at most limit
+// non-tautological resolvents on v, without building them: each positive
+// clause's literals other than v are marked, and a resolvent is
+// tautological when a negative clause holds the complement of a mark.
+// Counting stops once the limit is passed. Both sides must be
+// unsatisfied current clauses.
+func (s *simplifier) resolventsWithin(pos, neg []cnf.Clause, v cnf.Var, limit int) bool {
+	count := 0
+	for _, p := range pos {
+		for _, l := range p {
+			s.mark[l] = l.Var() != v
+		}
+		for _, n := range neg {
+			taut := false
+			for _, l := range n {
+				if s.mark[l.Not()] {
+					taut = true
+					break
+				}
+			}
+			if !taut {
+				count++
+			}
+		}
+		for _, l := range p {
+			s.mark[l] = false
+		}
+		if count > limit {
+			return false
+		}
+	}
+	return true
+}
+
+// resolve computes the resolvent of a and b on v, or reports that it is
+// tautological.
+func resolve(a, b cnf.Clause, v cnf.Var) (cnf.Clause, bool) {
 	out := make(cnf.Clause, 0, len(a)+len(b)-2)
 	for _, l := range a {
 		if l.Var() != v {
@@ -631,11 +684,7 @@ func resolve(a, b cnf.Clause, v cnf.Var) (cnf.Clause, bool) {
 			out = append(out, l)
 		}
 	}
-	norm, taut := out.Normalize()
-	if taut {
-		return nil, true
-	}
-	return norm, false
+	return out.Normalize()
 }
 
 // Extend completes a model of the simplified formula into a model of the
