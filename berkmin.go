@@ -126,12 +126,10 @@ type Solver struct {
 	// so all restoration and model reconstruction goes through the
 	// solver-local view, never through the outcome directly.
 	simp         *simplify.Options
-	outcome      *simplify.Outcome
-	view         *simplify.View  // solver-local restored-elimination state over outcome
-	fed          bool            // the core has received its (possibly simplified) input
-	elimIndex    map[cnf.Var]int // eliminated variable -> index into outcome.Elims
-	preSpent     time.Duration   // preprocessing time, charged to the first search's Runtime
-	preRemaining time.Duration   // first search's reduced wall-clock budget (0 = nothing pending)
+	view         *simplify.View // nil until preprocessing ran
+	fed          bool           // the core has received its (possibly simplified) input
+	preSpent     time.Duration  // preprocessing time, charged to the first search's Runtime
+	preRemaining time.Duration  // first search's reduced wall-clock budget (0 = nothing pending)
 }
 
 // New returns a Solver with the paper's default (BerkMin) configuration.
@@ -247,10 +245,8 @@ func (s *Solver) feed(c cnf.Clause) {
 	if s.simp != nil && !s.fed {
 		return // held back until preprocess()
 	}
-	if len(s.elimIndex) > 0 {
-		for _, l := range c {
-			s.restore(l.Var())
-		}
+	for _, l := range c {
+		s.restore(l.Var())
 	}
 	s.core.AddClause(c)
 }
@@ -272,15 +268,11 @@ func (s *Solver) preprocess() {
 	// equisatisfiable), so a timeout or cancellation is never stuck behind
 	// an unbounded simplification; the time spent here is deducted from
 	// the first search so MaxTime stays an end-to-end bound.
-	s.outcome, s.preSpent, s.preRemaining = simplify.Run(s.pristine, opt, s.maxTime, s.core.Interrupted)
-	s.view = s.outcome.NewView()
-	s.elimIndex = make(map[cnf.Var]int, len(s.outcome.Elims))
-	for i, e := range s.outcome.Elims {
-		s.elimIndex[e.V] = i
-	}
+	out, spent, remaining := simplify.Run(s.pristine, opt, s.maxTime, s.core.Interrupted)
+	s.view, s.preSpent, s.preRemaining = out.NewView(), spent, remaining
 	// Feeding the simplified formula (its empty clause, when preprocessing
 	// alone refuted the input) brings the core to the same verdict state.
-	s.core.AddFormula(s.outcome.Formula)
+	s.core.AddFormula(out.Formula)
 }
 
 // restore reverts the elimination of v (no-op for live variables): its
@@ -288,12 +280,10 @@ func (s *Solver) preprocess() {
 // constraint again. Recorded clauses may mention variables eliminated
 // later, so the restore cascades.
 func (s *Solver) restore(v cnf.Var) {
-	i, ok := s.elimIndex[v]
-	if !ok {
+	if s.view == nil {
 		return
 	}
-	delete(s.elimIndex, v)
-	for _, c := range s.view.Restore(i) {
+	for _, c := range s.view.Restore(v) {
 		for _, l := range c {
 			s.restore(l.Var())
 		}
@@ -312,13 +302,18 @@ func (s *Solver) NumVars() int {
 // SimplifyOutcome returns the preprocessing result once the first solve has
 // run with SetSimplify enabled, and nil otherwise. Mutating it is not
 // allowed — the solver uses it for model reconstruction.
-func (s *Solver) SimplifyOutcome() *SimplifyOutcome { return s.outcome }
+func (s *Solver) SimplifyOutcome() *SimplifyOutcome {
+	if s.view == nil {
+		return nil
+	}
+	return s.view.Outcome()
+}
 
 // finishResult maps a simplified-space model back to the original
 // variables and verifies it.
 func (s *Solver) finishResult(r Result) Result {
 	if r.Status == StatusSat {
-		if s.outcome != nil {
+		if s.view != nil {
 			r.Model = s.view.Extend(r.Model)
 		}
 		if s.verify && !cnf.Assignment(r.Model).Satisfies(s.pristine) {
@@ -444,7 +439,7 @@ func (s *Solver) solveParallel(ctx context.Context, opt ParallelOptions) (Parall
 	r, err := s.solveEngine(ctx, opt.MaxTime, func(maxTime time.Duration) Result {
 		if s.core.Dead() {
 			winner = "load"
-			if s.outcome != nil {
+			if s.view != nil {
 				winner = "simplify"
 			}
 			return Result{Status: StatusUnsat}

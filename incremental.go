@@ -44,10 +44,8 @@ func (s *Solver) AddClauseGroup(g Group, lits ...int) error {
 	c := cnf.NewClause(lits...)
 	// A group clause may mention variables preprocessing eliminated;
 	// bring their defining clauses back first, as feed does.
-	if len(s.elimIndex) > 0 {
-		for _, l := range c {
-			s.restore(l.Var())
-		}
+	for _, l := range c {
+		s.restore(l.Var())
 	}
 	// The pristine mirror records what the solver actually enforces — the
 	// clause extended with the group's activation literal — keeping model

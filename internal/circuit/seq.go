@@ -212,7 +212,7 @@ func FIFO(ptrBits int, buggy bool) *SeqCircuit {
 		if i == 0 {
 			addend = inc
 		}
-		plus[i], carry = fullAdderSeq(c, count[i], addend, carry)
+		plus[i], carry = fullAdder(c, count[i], addend, carry)
 	}
 	next := make([]Signal, n)
 	borrow := c.False()
@@ -247,13 +247,6 @@ func FIFO(ptrBits int, buggy bool) *SeqCircuit {
 		Init:      make([]bool, n),
 		Name:      fmt.Sprintf("%s%d", name, capacity),
 	}
-}
-
-func fullAdderSeq(c *Circuit, a, b, cin Signal) (sum, cout Signal) {
-	axb := c.XorGate(a, b)
-	sum = c.XorGate(axb, cin)
-	cout = c.OrGate(c.AndGate(a, b), c.AndGate(axb, cin))
-	return sum, cout
 }
 
 // Arbiter builds a round-robin two-client arbiter. Free inputs: req0,

@@ -130,7 +130,7 @@ func (s *Solver) bumpResponsible(c clauseRef) {
 	s.ca.bumpAct(c)
 	if s.opt.Reduce == ReduceTiered && s.ca.learnt(c) {
 		s.ca.setTouched(c)
-		if g := s.ca.glue(c); g > s.opt.CoreGlue {
+		if g := s.ca.glue(c); g > coreGlue {
 			if ng := s.computeGlue(s.ca.lits(c)); ng < g {
 				s.ca.setGlue(c, ng)
 				s.promoteTier(c, ng)

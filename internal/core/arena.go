@@ -75,7 +75,7 @@ const (
 	// tierMid (TIER2) holds recently useful mid-glue clauses; demoted to
 	// LOCAL after a full inter-cleaning interval without a conflict.
 	tierMid clauseTier = 1
-	// tierCore holds glue ≤ CoreGlue clauses and binaries: never deleted.
+	// tierCore holds glue ≤ coreGlue clauses and binaries: never deleted.
 	tierCore clauseTier = 2
 )
 

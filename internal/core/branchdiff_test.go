@@ -52,7 +52,7 @@ func diffBranching(t *testing.T, f *cnf.Formula) {
 	sides := branchingSides()
 	want := StatusUnknown
 	for _, side := range sides {
-		st, proof, model := runDiffSide(t, f, side.opt)
+		st, proof, model := runDiffSide(t, f, New(side.opt))
 		if want == StatusUnknown {
 			want = st
 		}

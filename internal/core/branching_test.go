@@ -168,41 +168,28 @@ func TestEvsidsLrbSolveGenSuite(t *testing.T) {
 	}
 }
 
-// TestNormalizeBranchingParams checks that zero values for the EVSIDS/LRB
-// knobs are replaced by sane defaults — a zero VarDecay would otherwise
-// divide by zero, a zero LrbAlphaStep would freeze the annealing, and an
-// out-of-range locality factor would corrupt activities.
+// TestNormalizeBranchingParams checks that zero or out-of-range values for
+// the branching knobs that remain Options are replaced by sane defaults — a
+// zero AgingPeriod or an AgingDivisor below 2 would stop aging, and a
+// QueryDecay outside (0, 1) would grow or flip activities between queries.
+// The EVSIDS decay and LRB schedule are constants (evsids.go, lrb.go).
 func TestNormalizeBranchingParams(t *testing.T) {
 	var o Options
 	o.normalize()
-	if o.VarDecay <= 0 || o.VarDecay >= 1 {
-		t.Fatalf("VarDecay = %v, want in (0,1)", o.VarDecay)
+	if o.NbTwoThreshold != 100 || o.AgingPeriod != 100 || o.AgingDivisor != 2 || o.QueryDecay != 0 {
+		t.Fatalf("zero knobs normalized to %+v", o)
 	}
-	if o.LrbAlpha <= 0 || o.LrbAlpha > 1 {
-		t.Fatalf("LrbAlpha = %v, want in (0,1]", o.LrbAlpha)
+	for _, f := range []float64{-0.5, 1, 3} {
+		o = Options{QueryDecay: f}
+		o.normalize()
+		if o.QueryDecay != 0 {
+			t.Fatalf("QueryDecay %v survived normalize as %v, want 0 (off)", f, o.QueryDecay)
+		}
 	}
-	if o.LrbAlphaMin <= 0 || o.LrbAlphaMin > o.LrbAlpha {
-		t.Fatalf("LrbAlphaMin = %v, want in (0, LrbAlpha]", o.LrbAlphaMin)
-	}
-	if o.LrbAlphaStep <= 0 {
-		t.Fatalf("LrbAlphaStep = %v, want > 0", o.LrbAlphaStep)
-	}
-	if o.LrbLocality <= 0 || o.LrbLocality > 1 {
-		t.Fatalf("LrbLocality = %v, want in (0,1]", o.LrbLocality)
-	}
-
-	// Out-of-range values are rejected, not propagated.
-	o = Options{VarDecay: 1.5, LrbAlpha: 7, LrbAlphaMin: -1, LrbAlphaStep: -2, LrbLocality: 3}
+	o = Options{QueryDecay: 0.7, AgingDivisor: 4}
 	o.normalize()
-	if o.VarDecay >= 1 || o.LrbAlpha > 1 || o.LrbAlphaMin > o.LrbAlpha || o.LrbAlphaStep <= 0 || o.LrbLocality > 1 {
-		t.Fatalf("out-of-range knobs survived normalize: %+v", o)
-	}
-
-	// An alpha floor above alpha is clamped down to alpha.
-	o = Options{LrbAlpha: 0.1, LrbAlphaMin: 0.5}
-	o.normalize()
-	if o.LrbAlphaMin > o.LrbAlpha {
-		t.Fatalf("LrbAlphaMin = %v > LrbAlpha = %v after normalize", o.LrbAlphaMin, o.LrbAlpha)
+	if o.QueryDecay != 0.7 || o.AgingDivisor != 4 {
+		t.Fatalf("in-range knobs changed by normalize: %+v", o)
 	}
 }
 
@@ -235,19 +222,17 @@ func TestEvsidsRescale(t *testing.T) {
 }
 
 // TestEvsidsDecayGrowsIncrement pins the EVSIDS mechanics: the per-conflict
-// onConflict hook multiplies the increment by 1/VarDecay, so later bumps
-// outweigh earlier ones without touching stored activities.
+// onConflict hook multiplies the increment by 1/evsidsVarDecay, so later
+// bumps outweigh earlier ones without touching stored activities.
 func TestEvsidsDecayGrowsIncrement(t *testing.T) {
-	o := EvsidsOptions()
-	o.VarDecay = 0.5
-	s := New(o)
+	s := New(EvsidsOptions())
 	s.ensureVars(2)
 	d := s.dec.(*evsidsDecider)
 	d.bump(1)
 	d.onConflict()
 	d.bump(2)
-	if d.act[2] != 2*d.act[1] {
-		t.Fatalf("act after decayed bump = %v, want double %v", d.act[2], d.act[1])
+	if want := d.act[1] * (1 / evsidsVarDecay); d.act[2] != want || d.act[2] <= d.act[1] {
+		t.Fatalf("act after decayed bump = %v, want %v (> %v)", d.act[2], want, d.act[1])
 	}
 }
 
@@ -280,20 +265,26 @@ func TestLrbRewardMechanics(t *testing.T) {
 	}
 }
 
-// TestLrbAlphaAnneals checks the 0.4 -> 0.06 annealing floor.
+// TestLrbAlphaAnneals checks the 0.4 -> 0.06 annealing: one step per
+// conflict, clamped at the floor once the next step would cross it.
 func TestLrbAlphaAnneals(t *testing.T) {
-	o := LrbOptions()
-	o.LrbAlpha = 0.4
-	o.LrbAlphaMin = 0.3
-	o.LrbAlphaStep = 0.05
-	s := New(o)
+	s := New(LrbOptions())
 	s.ensureVars(1)
 	d := s.dec.(*lrbDecider)
-	for i := 0; i < 10; i++ {
+	if d.alpha != lrbAlpha {
+		t.Fatalf("alpha = %v, want %v at start", d.alpha, lrbAlpha)
+	}
+	start := d.alpha
+	d.onConflict()
+	if want := start - lrbAlphaStep; d.alpha != want {
+		t.Fatalf("alpha = %v after one conflict, want %v", d.alpha, want)
+	}
+	d.alpha = lrbAlphaMin + lrbAlphaStep/2
+	for i := 0; i < 3; i++ {
 		d.onConflict()
 	}
-	if d.alpha != 0.3 {
-		t.Fatalf("alpha = %v, want annealed to the 0.3 floor", d.alpha)
+	if d.alpha != lrbAlphaMin {
+		t.Fatalf("alpha = %v, want annealed to the %v floor", d.alpha, lrbAlphaMin)
 	}
 }
 
@@ -470,7 +461,7 @@ func TestEvsidsReconfigureKeepsIncrement(t *testing.T) {
 		t.Skip("run too short to grow the increment")
 	}
 	o := EvsidsOptions()
-	o.VarDecay = 0.9
+	o.RestartFirst = 200
 	s.Reconfigure(o)
 	if d2 := s.dec.(*evsidsDecider); d2.inc != incBefore {
 		t.Fatalf("inc = %v after same-family Reconfigure, want %v kept", d2.inc, incBefore)

@@ -5,12 +5,13 @@ import "berkmin/internal/cnf"
 // evsidsDecider implements EVSIDS — exponential VSIDS in the MiniSat
 // lineage, the heuristic that displaced BerkMin's clause-activity branching.
 // Instead of periodically dividing integer counters (Chaff's aging, §3),
-// the bump increment itself grows geometrically by 1/VarDecay per conflict:
-// a bump at conflict t is worth (1/VarDecay)^t, which is equivalent to
-// decaying every other variable's activity by VarDecay each conflict — one
-// multiplication per conflict instead of a full-array sweep. Activities are
-// float64 and are rescaled by 1e-100 when they threaten overflow (the
-// rescale is uniform and monotone, so the pick heap survives it).
+// the bump increment itself grows geometrically by 1/evsidsVarDecay per
+// conflict: a bump at conflict t is worth (1/evsidsVarDecay)^t, which is
+// equivalent to decaying every other variable's activity by evsidsVarDecay
+// each conflict — one multiplication per conflict instead of a full-array
+// sweep. Activities are float64 and are rescaled by 1e-100 when they
+// threaten overflow (the rescale is uniform and monotone, so the pick heap
+// survives it).
 //
 // Variable selection is always heap-based (there is no naive-scan variant;
 // OptimizedGlobalPick is implied). Polarity falls back to the solver's
@@ -23,6 +24,8 @@ type evsidsDecider struct {
 }
 
 const (
+	// evsidsVarDecay is the per-conflict activity decay factor, in (0, 1).
+	evsidsVarDecay      = 0.95
 	evsidsRescaleLimit  = 1e100
 	evsidsRescaleFactor = 1e-100
 )
@@ -55,7 +58,7 @@ func (d *evsidsDecider) onConflict() {
 	// Growing the increment decays every existing activity relative to
 	// future bumps. Guard the increment itself: a conflict-rich search with
 	// few bumped variables must not push it to +Inf.
-	d.inc *= 1 / d.s.opt.VarDecay
+	d.inc *= 1 / evsidsVarDecay
 	if d.inc > evsidsRescaleLimit {
 		d.rescale()
 	}

@@ -291,8 +291,8 @@ func TestOnNewQueryDecay(t *testing.T) {
 		if d.act[1] != 4 {
 			t.Fatalf("act = %v, want 4", d.act[1])
 		}
-		if d.alpha != s.opt.LrbAlpha {
-			t.Fatalf("alpha = %v, want re-annealed to %v", d.alpha, s.opt.LrbAlpha)
+		if d.alpha != lrbAlpha {
+			t.Fatalf("alpha = %v, want re-annealed to %v", d.alpha, lrbAlpha)
 		}
 	})
 	t.Run("berkmin", func(t *testing.T) {

@@ -15,11 +15,19 @@ import (
 // bounded clause vivification — operating directly on the flat clause
 // arena of arena.go, with every derived clause logged to the DRUP proof.
 //
-// All passes run at decision level 0 and are gated by Options
-// (InprocessPeriod, InprocessSubsume, InprocessStrengthen,
-// InprocessVivify). The scratch structures live on the Solver and are
-// reused, so a steady-state pass that finds nothing allocates nothing
-// (BenchmarkInprocess gates this).
+// All passes run together at decision level 0, every
+// Options.InprocessPeriod restarts (0 disables them). The scratch
+// structures live on the Solver and are reused, so a steady-state pass
+// that finds nothing allocates nothing (BenchmarkInprocess gates this).
+
+// Cost bounds of one inprocessing pass: subsumption and strengthening skip
+// occurrence lists longer than inprocessMaxOcc, and vivification visits at
+// most vivifyMaxClauses learnt clauses, a persistent cursor rotating
+// through the learnt stack across passes.
+const (
+	inprocessMaxOcc  = 40
+	vivifyMaxClauses = 128
+)
 
 // inpClause is one work-list entry of an inprocessing pass: a live clause
 // plus its literal-occurrence signature for fast subset rejection.
@@ -28,49 +36,38 @@ type inpClause struct {
 	sig uint64
 }
 
-// inprocessEnabled reports whether any inprocessing pass is configured
-// (pure predicate; the restart loop owns the cadence counter).
-func (s *Solver) inprocessEnabled() bool {
-	return s.opt.InprocessPeriod > 0 &&
-		(s.opt.InprocessSubsume || s.opt.InprocessStrengthen || s.opt.InprocessVivify)
-}
-
-// inprocess runs the enabled passes. Must be called at decision level 0
+// inprocess runs every pass. Must be called at decision level 0
 // with the watch lists intact and propagation at a fixed point — i.e.
 // right after a successful reduceDB.
 func (s *Solver) inprocess() {
 	s.sinceInprocess = 0
 	s.stats.InprocessPasses++
 	s.clearLevel0Reasons()
-	if s.opt.InprocessSubsume || s.opt.InprocessStrengthen {
-		changed := s.subsumePass()
-		if !s.ok {
+	changed := s.subsumePass()
+	if !s.ok {
+		return
+	}
+	if changed {
+		// Tombstoning and in-place shrinking invalidated the watch and
+		// binary-partner lists; rebuild before anything propagates again.
+		// The rebuild is also the tier migration: a clause strengthened
+		// down to two literals re-attaches as a binary implication and
+		// re-enters the nb_two partner lists here.
+		s.clauses = dropDeleted(&s.ca, s.clauses)
+		s.learnts = dropDeleted(&s.ca, s.learnts)
+		s.rebuildWatches()
+		s.rebuildBinOcc()
+		if confl := s.propagate(); confl != refUndef {
+			s.ok = false
+			s.proofEmpty()
 			return
-		}
-		if changed {
-			// Tombstoning and in-place shrinking invalidated the watch and
-			// binary-partner lists; rebuild before anything propagates
-			// again. The rebuild is also the tier migration: a clause
-			// strengthened down to two literals re-attaches as a binary
-			// implication and re-enters the nb_two partner lists here.
-			s.clauses = dropDeleted(&s.ca, s.clauses)
-			s.learnts = dropDeleted(&s.ca, s.learnts)
-			s.rebuildWatches()
-			s.rebuildBinOcc()
-			if confl := s.propagate(); confl != refUndef {
-				s.ok = false
-				s.proofEmpty()
-				return
-			}
 		}
 	}
-	if s.opt.InprocessVivify {
-		// Vivification maintains the watch lists incrementally and only
-		// touches learnt clauses, so no wholesale rebuild is needed.
-		s.vivifyPass()
-		if !s.ok {
-			return
-		}
+	// Vivification maintains the watch lists incrementally and only
+	// touches learnt clauses, so no wholesale rebuild is needed.
+	s.vivifyPass()
+	if !s.ok {
+		return
 	}
 	// Propagations above may have assigned new level-0 variables with
 	// clause antecedents; drop the refs so tombstones cannot be resurrected
@@ -142,7 +139,6 @@ func (s *Solver) subsumePass() bool {
 	})
 
 	changed := false
-	maxOcc := s.opt.InprocessMaxOcc
 	for _, ci := range order {
 		if !s.ok {
 			return true
@@ -153,60 +149,56 @@ func (s *Solver) subsumePass() bool {
 		}
 		lits := s.ca.lits(c.ref)
 
-		if s.opt.InprocessSubsume {
-			// Scan candidates through c's rarest literal only.
-			best := lits[0]
-			for _, l := range lits[1:] {
-				if len(occ[l]) < len(occ[best]) {
-					best = l
-				}
+		// Subsumption: scan candidates through c's rarest literal only.
+		best := lits[0]
+		for _, l := range lits[1:] {
+			if len(occ[l]) < len(occ[best]) {
+				best = l
 			}
-			if len(occ[best]) <= maxOcc {
-				for _, di := range occ[best] {
-					d := &work[di]
-					if d.ref == c.ref || di == int32(topIdx) ||
-						s.ca.deleted(d.ref) || s.ca.protect(d.ref) ||
-						s.ca.size(d.ref) < len(lits) || c.sig&^d.sig != 0 {
-						continue
-					}
-					// A learnt subsumer must not remove a problem clause:
-					// learnt clauses are freely deletable by database
-					// management, and once the subsumer ages out nothing
-					// would imply the removed constraint any more.
-					if s.ca.learnt(c.ref) && !s.ca.learnt(d.ref) {
-						continue
-					}
-					if cnf.Clause(s.ca.lits(d.ref)).ContainsAll(lits) {
-						s.proofDelete(s.ca.lits(d.ref))
-						s.ca.free(d.ref)
-						s.stats.SubsumedClauses++
-						changed = true
-					}
+		}
+		if len(occ[best]) <= inprocessMaxOcc {
+			for _, di := range occ[best] {
+				d := &work[di]
+				if d.ref == c.ref || di == int32(topIdx) ||
+					s.ca.deleted(d.ref) || s.ca.protect(d.ref) ||
+					s.ca.size(d.ref) < len(lits) || c.sig&^d.sig != 0 {
+					continue
+				}
+				// A learnt subsumer must not remove a problem clause:
+				// learnt clauses are freely deletable by database
+				// management, and once the subsumer ages out nothing would
+				// imply the removed constraint any more.
+				if s.ca.learnt(c.ref) && !s.ca.learnt(d.ref) {
+					continue
+				}
+				if cnf.Clause(s.ca.lits(d.ref)).ContainsAll(lits) {
+					s.proofDelete(s.ca.lits(d.ref))
+					s.ca.free(d.ref)
+					s.stats.SubsumedClauses++
+					changed = true
 				}
 			}
 		}
 
-		if s.opt.InprocessStrengthen {
-			// Self-subsuming resolution: c = (l ∨ A); any live d ⊇ A ∪ {¬l}
-			// resolves with c to a strict subset of itself, so ¬l can be
-			// deleted from d in place.
-			for _, l := range lits {
-				neg := l.Not()
-				if len(occ[neg]) > maxOcc {
+		// Self-subsuming resolution: c = (l ∨ A); any live d ⊇ A ∪ {¬l}
+		// resolves with c to a strict subset of itself, so ¬l can be
+		// deleted from d in place.
+		for _, l := range lits {
+			neg := l.Not()
+			if len(occ[neg]) > inprocessMaxOcc {
+				continue
+			}
+			negSig := c.sig&^(1<<(uint(l)%64)) | 1<<(uint(neg)%64)
+			for _, di := range occ[neg] {
+				d := &work[di]
+				if s.ca.deleted(d.ref) || s.ca.size(d.ref) < len(lits) || negSig&^d.sig != 0 {
 					continue
 				}
-				negSig := c.sig&^(1<<(uint(l)%64)) | 1<<(uint(neg)%64)
-				for _, di := range occ[neg] {
-					d := &work[di]
-					if s.ca.deleted(d.ref) || s.ca.size(d.ref) < len(lits) || negSig&^d.sig != 0 {
-						continue
-					}
-					if cnf.SubsumesExcept(lits, s.ca.lits(d.ref), l, neg) {
-						s.strengthenInPlace(d, neg)
-						changed = true
-						if !s.ok {
-							return true
-						}
+				if cnf.SubsumesExcept(lits, s.ca.lits(d.ref), l, neg) {
+					s.strengthenInPlace(d, neg)
+					changed = true
+					if !s.ok {
+						return true
 					}
 				}
 			}
@@ -256,10 +248,7 @@ func (s *Solver) vivifyPass() bool {
 	if n == 0 {
 		return false
 	}
-	budget := s.opt.VivifyMaxClauses
-	if budget > n {
-		budget = n
-	}
+	budget := min(vivifyMaxClauses, n)
 	if s.vivifyHead >= n {
 		s.vivifyHead = 0
 	}

@@ -20,9 +20,7 @@ func addLearntAttached(s *Solver, xs ...int) clauseRef {
 }
 
 func TestSubsumePassRemovesSubsumedClauses(t *testing.T) {
-	o := DefaultOptions()
-	o.InprocessSubsume = true
-	s := New(o)
+	s := New(DefaultOptions())
 	s.AddClause(cnf.NewClause(1, 2))
 	s.AddClause(cnf.NewClause(1, 2, 4))  // problem clause subsumed by (1 2)
 	sub := addLearntAttached(s, 1, 2, 3) // learnt subsumed by (1 2)
@@ -46,9 +44,7 @@ func TestSubsumePassRemovesSubsumedClauses(t *testing.T) {
 // problem clause would lose the constraint for good once the learnt ages
 // out — the removal must be skipped.
 func TestSubsumePassLearntNeverRemovesProblemClause(t *testing.T) {
-	o := DefaultOptions()
-	o.InprocessSubsume = true
-	s := New(o)
+	s := New(DefaultOptions())
 	s.AddClause(cnf.NewClause(1, 2, 3)) // problem clause, superset of the learnt
 	addLearntAttached(s, 1, 2)
 	addLearntAttached(s, 5, 6) // top clause, keeps (1 2) eligible as a subsumer
@@ -59,9 +55,7 @@ func TestSubsumePassLearntNeverRemovesProblemClause(t *testing.T) {
 }
 
 func TestSubsumePassProtectsTopClause(t *testing.T) {
-	o := DefaultOptions()
-	o.InprocessSubsume = true
-	s := New(o)
+	s := New(DefaultOptions())
 	s.AddClause(cnf.NewClause(1, 2))
 	top := addLearntAttached(s, 1, 2, 3) // subsumed, but topmost: §8 anti-looping keeps it
 	s.subsumePass()
@@ -71,9 +65,7 @@ func TestSubsumePassProtectsTopClause(t *testing.T) {
 }
 
 func TestStrengthenPassSelfSubsumption(t *testing.T) {
-	o := DefaultOptions()
-	o.InprocessStrengthen = true
-	s := New(o)
+	s := New(DefaultOptions())
 	s.AddClause(cnf.NewClause(1, 2))
 	s.AddClause(cnf.NewClause(-1, 2, 3)) // resolving on 1 with (1 2) gives (2 3) ⊂ it
 	if !s.subsumePass() {
@@ -92,9 +84,7 @@ func TestStrengthenPassSelfSubsumption(t *testing.T) {
 }
 
 func TestStrengthenToUnitBecomesLevel0Assignment(t *testing.T) {
-	o := DefaultOptions()
-	o.InprocessStrengthen = true
-	s := New(o)
+	s := New(DefaultOptions())
 	s.AddClause(cnf.NewClause(1, 2))
 	s.AddClause(cnf.NewClause(-1, 2)) // strengthens to the unit (2)
 	s.inprocess()
@@ -107,9 +97,7 @@ func TestStrengthenToUnitBecomesLevel0Assignment(t *testing.T) {
 }
 
 func TestVivifyDropsImpliedFalseLiteral(t *testing.T) {
-	o := DefaultOptions()
-	o.InprocessVivify = true
-	s := New(o)
+	s := New(DefaultOptions())
 	s.AddClause(cnf.NewClause(1, -3)) // under ¬1, propagates ¬3
 	addLearntAttached(s, 1, 2, 3)
 	if !s.vivifyPass() {
@@ -130,9 +118,7 @@ func TestVivifyDropsImpliedFalseLiteral(t *testing.T) {
 }
 
 func TestVivifyConflictTruncatesClause(t *testing.T) {
-	o := DefaultOptions()
-	o.InprocessVivify = true
-	s := New(o)
+	s := New(DefaultOptions())
 	s.AddClause(cnf.NewClause(1, 2, 4))
 	s.AddClause(cnf.NewClause(1, 2, -4)) // ¬1∧¬2 propagates 4 and ¬4: conflict
 	addLearntAttached(s, 1, 2, 3)

@@ -125,17 +125,40 @@ func checkInvariants(t testing.TB, s *Solver) {
 	}
 }
 
-// churnOptions returns a tiered configuration with aggressive restart,
-// cleaning, GC and inprocessing cadences, so even small instances push
-// clauses through every tier transition and database pass.
+// churnOptions returns a tiered configuration with aggressive restart and
+// inprocessing cadences; newChurnSolver adds the matching cleaning
+// cadence, so even small instances push clauses through every tier
+// transition and database pass.
 func churnOptions() Options {
 	o := TieredOptions()
 	o.RestartFirst = 8
-	o.TieredFirstReduce = 12
-	o.TieredReduceInc = 6
 	o.EnableInprocessing()
 	o.InprocessPeriod = 2
 	return o
+}
+
+// newChurnSolver is New(o) with the tiered cleaning target re-armed to 12
+// learnt clauses, +6 per cleaning, in place of the tieredFirstReduce /
+// tieredReduceInc schedule that small instances never reach. The conflict
+// hook re-arms it: every cleaning (and every Reset back to
+// tieredFirstReduce) is followed by a conflict before the next restart.
+// Under the BerkMin database the target is never read.
+func newChurnSolver(o Options) *Solver {
+	s := New(o)
+	const first, inc = 12, 6
+	target := first
+	s.tieredTarget = target
+	s.debugConflict = func(clauseRef) {
+		switch s.tieredTarget {
+		case target:
+		case tieredFirstReduce:
+			target = first
+		default:
+			target += inc
+		}
+		s.tieredTarget = target
+	}
+	return s
 }
 
 // TestInvariantsAfterSolve runs full solves under the BerkMin-style and
@@ -160,7 +183,7 @@ func TestInvariantsAfterSolve(t *testing.T) {
 		"tiered":  churnOptions(),
 	} {
 		for i, f := range formulas {
-			s := New(opt)
+			s := newChurnSolver(opt)
 			s.AddFormula(f)
 			if r := s.Solve(); r.Status == StatusUnknown {
 				t.Fatalf("%s formula %d: unexpected UNKNOWN", name, i)
@@ -172,7 +195,7 @@ func TestInvariantsAfterSolve(t *testing.T) {
 			// torn the structures down with the solver already dead).
 			limited := opt
 			limited.MaxConflicts = 40
-			s2 := New(limited)
+			s2 := newChurnSolver(limited)
 			s2.AddFormula(f)
 			s2.Solve()
 			checkInvariants(t, s2)
@@ -186,10 +209,12 @@ func TestInvariantsAfterSolve(t *testing.T) {
 func TestInvariantsAfterEveryReduce(t *testing.T) {
 	o := churnOptions()
 	o.RestartFirst = 1
-	s := New(o)
+	s := newChurnSolver(o)
 	s.AddFormula(pigeonhole(5))
 	conflicts := 0
-	s.debugConflict = func(clauseRef) {
+	churn := s.debugConflict
+	s.debugConflict = func(c clauseRef) {
+		churn(c)
 		conflicts++
 		if conflicts%3 == 0 {
 			// The solver sits mid-search here; the clause lists and reasons
@@ -209,8 +234,7 @@ func TestInvariantsAfterEveryReduce(t *testing.T) {
 // TestInvariantsAfterGC forces arena compactions during a tiered solve and
 // re-checks the invariants (refs relocated, watches rebuilt).
 func TestInvariantsAfterGC(t *testing.T) {
-	o := churnOptions()
-	s := New(o)
+	s := newChurnSolver(churnOptions())
 	s.AddFormula(pigeonhole(6))
 	if r := s.Solve(); r.Status != StatusUnsat {
 		t.Fatalf("status = %v", r.Status)

@@ -10,10 +10,10 @@ import "berkmin/internal/cnf"
 //
 //	reward(v) = participated(v) / (conflicts_now − conflicts_when_assigned),
 //
-// folded in at unassignment with step alpha. Alpha anneals from LrbAlpha
-// down to LrbAlphaMin by LrbAlphaStep per conflict, shifting from fast
+// folded in at unassignment with step alpha. Alpha anneals from lrbAlpha
+// down to lrbAlphaMin by lrbAlphaStep per conflict, shifting from fast
 // adaptation to a long memory. The locality extension multiplies the
-// activity of every *unassigned* variable by LrbLocality each conflict, so
+// activity of every *unassigned* variable by lrbLocality each conflict, so
 // variables off the current search trajectory fade.
 //
 // This is the one decider that needs the trail walk (hooksAssigns): the
@@ -31,8 +31,18 @@ type lrbDecider struct {
 	order        actHeap[cnf.Var, float64]
 }
 
+// The LRB schedule: alpha starts at lrbAlpha and anneals by lrbAlphaStep
+// per conflict down to lrbAlphaMin; lrbLocality fades every unassigned
+// variable's activity per conflict.
+const (
+	lrbAlpha     = 0.4
+	lrbAlphaMin  = 0.06
+	lrbAlphaStep = 1e-6
+	lrbLocality  = 0.95
+)
+
 func newLrbDecider(s *Solver) *lrbDecider {
-	d := &lrbDecider{s: s, alpha: s.opt.LrbAlpha}
+	d := &lrbDecider{s: s, alpha: lrbAlpha}
 	d.order.act = &d.act
 	return d
 }
@@ -44,7 +54,7 @@ func (d *lrbDecider) hooksAssigns() bool { return true }
 func (d *lrbDecider) decay() {}
 
 // onNewQuery scales every reward average by QueryDecay (uniform, so the
-// heap order is preserved) and re-boosts the EMA step back to LrbAlpha:
+// heap order is preserved) and re-boosts the EMA step back to lrbAlpha:
 // the new query's conflicts should re-shape the averages quickly, the way
 // a fresh lifetime would, without discarding what transfers.
 func (d *lrbDecider) onNewQuery() {
@@ -52,7 +62,7 @@ func (d *lrbDecider) onNewQuery() {
 	for v := range d.act {
 		d.act[v] *= f
 	}
-	d.alpha = d.s.opt.LrbAlpha
+	d.alpha = lrbAlpha
 }
 
 func (d *lrbDecider) onAssign(l cnf.Lit) {
@@ -75,18 +85,16 @@ func (d *lrbDecider) onUnassign(v cnf.Var) {
 // interval that includes the conflict they just participated in.
 func (d *lrbDecider) onConflict() {
 	d.conflicts++
-	if d.alpha > d.s.opt.LrbAlphaMin {
-		d.alpha -= d.s.opt.LrbAlphaStep
-		if d.alpha < d.s.opt.LrbAlphaMin {
-			d.alpha = d.s.opt.LrbAlphaMin
+	if d.alpha > lrbAlphaMin {
+		d.alpha -= lrbAlphaStep
+		if d.alpha < lrbAlphaMin {
+			d.alpha = lrbAlphaMin
 		}
 	}
 	// Locality extension: fade the unassigned variables — exactly the
-	// heap's members. LrbLocality == 1 disables the extension.
-	if f := d.s.opt.LrbLocality; f < 1 {
-		for _, v := range d.order.heap {
-			d.act[v] *= f
-		}
+	// heap's members.
+	for _, v := range d.order.heap {
+		d.act[v] *= lrbLocality
 	}
 }
 
@@ -153,17 +161,17 @@ func (d *lrbDecider) reset() {
 	clear(d.act)
 	clear(d.assignedAt)
 	clear(d.participated)
-	d.alpha = d.s.opt.LrbAlpha
+	d.alpha = lrbAlpha
 	d.conflicts = 0
 	d.rearmHeap()
 }
 
-// reconfigure re-arms the alpha schedule from the (possibly new) options
-// and rebuilds the heap; activities, intervals and the conflict counter are
-// kept — the interval bookkeeping references the running counter, so it
-// must not rewind while variables are assigned.
+// reconfigure re-arms the alpha schedule and rebuilds the heap;
+// activities, intervals and the conflict counter are kept — the interval
+// bookkeeping references the running counter, so it must not rewind while
+// variables are assigned.
 func (d *lrbDecider) reconfigure() {
-	d.alpha = d.s.opt.LrbAlpha
+	d.alpha = lrbAlpha
 	d.rearmHeap()
 }
 

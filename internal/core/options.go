@@ -20,15 +20,15 @@ const (
 	// choice fixes the polarity.
 	DecideChaffLiteral
 	// DecideEvsids is exponential VSIDS (MiniSat lineage, post-BerkMin):
-	// float activities where the bump increment grows by 1/VarDecay per
+	// float activities where the bump increment grows by 1/0.95 per
 	// conflict, rescaled near overflow; selection is always heap-based.
 	// Polarity uses the saved phase when PhaseSaving is on, else nb_two.
 	DecideEvsids
 	// DecideLrb is learning-rate branching (MapleSAT lineage, post-BerkMin):
 	// each variable's activity is an exponential moving average of the
 	// fraction of conflicts it participated in while assigned, with an
-	// annealed step (LrbAlpha → LrbAlphaMin) and a per-conflict locality
-	// fade of unassigned variables (LrbLocality). Polarity as DecideEvsids.
+	// annealed step (0.4 → 0.06) and a per-conflict locality fade of
+	// unassigned variables (×0.95). Polarity as DecideEvsids.
 	DecideLrb
 )
 
@@ -82,12 +82,12 @@ const (
 	// ReduceNone never removes learnt clauses (memory permitting).
 	ReduceNone
 	// ReduceTiered is the glue-aware three-tier database (post-BerkMin;
-	// Glucose/CaDiCaL lineage): CORE clauses (glue ≤ CoreGlue, and every
-	// binary) are never deleted, TIER2 clauses (glue ≤ Tier2Glue) are
-	// demoted to LOCAL after a full inter-cleaning interval without
-	// participating in a conflict, and the LOCAL tier is activity-sorted
-	// with its worst half deleted once the database outgrows a growing
-	// threshold (TieredFirstReduce/TieredReduceInc).
+	// Glucose/CaDiCaL lineage): CORE clauses (glue ≤ 2, and every binary)
+	// are never deleted, TIER2 clauses (glue ≤ 6) are demoted to LOCAL
+	// after a full inter-cleaning interval without participating in a
+	// conflict, and the LOCAL tier is activity-sorted with its worst half
+	// deleted once the database outgrows a growing threshold (2000 learnt
+	// clauses, +300 per halving).
 	ReduceTiered
 )
 
@@ -119,24 +119,10 @@ type Options struct {
 	OptimizedGlobalPick bool // strategy 3 of BerkMin561 (Remark 1): heap-based global pick
 
 	// Activity aging (Chaff's "aging" of counters, inherited by BerkMin).
-	// DecideEvsids and DecideLrb have their own decay schedules and ignore
-	// these.
+	// DecideEvsids and DecideLrb have their own fixed decay schedules
+	// (evsids.go, lrb.go) and ignore these.
 	AgingPeriod  uint64 // conflicts between decays
 	AgingDivisor int64  // counters are divided by this at each decay
-
-	// EVSIDS (DecideEvsids): per-conflict activity decay factor in (0, 1);
-	// the bump increment grows by 1/VarDecay each conflict (default 0.95).
-	VarDecay float64
-
-	// LRB (DecideLrb): the EMA step alpha starts at LrbAlpha (default 0.4),
-	// anneals down by LrbAlphaStep per conflict (default 1e-6) to
-	// LrbAlphaMin (default 0.06). LrbLocality in (0, 1] multiplies every
-	// unassigned variable's activity each conflict (default 0.95; 1
-	// disables the locality extension).
-	LrbAlpha     float64
-	LrbAlphaMin  float64
-	LrbAlphaStep float64
-	LrbLocality  float64
 
 	// Restarts.
 	Restart       RestartPolicy
@@ -144,68 +130,31 @@ type Options struct {
 	RestartFactor float64 // geometric growth factor
 	RestartJitter int     // ± uniform jitter on the interval (fixed policy)
 
-	// Clause database management.
-	Reduce           ReduceMode
-	YoungFracNum     int // a clause is young iff distance-from-top < Num/Den · stack size
-	YoungFracDen     int
-	YoungMaxLen      int   // keep young clause iff length < YoungMaxLen ...
-	YoungMinAct      int64 // ... or activity > YoungMinAct
-	OldMaxLen        int   // keep old clause iff length < OldMaxLen ...
-	OldThresholdInit int64 // ... or activity > threshold (initially this)
-	OldThresholdInc  int64 // threshold increment per cleaning
-	LimitedKeepLen   int   // ReduceLimitedKeeping: remove clauses longer than this
-	MarkPeriod       int   // permanently protect one clause every N restarts (0 = off; the paper's partial anti-looping scheme protects only the topmost clause)
-
-	// Glue-aware three-tier database (ReduceTiered). Glue (LBD) is computed
-	// for every learnt clause regardless of mode — it feeds Stats.GlueSum,
-	// glue-based clause sharing and restart postponement — but only
-	// ReduceTiered uses it for retention.
-	CoreGlue          int // glue ≤ CoreGlue → CORE, kept forever (default 2)
-	Tier2Glue         int // glue ≤ Tier2Glue → TIER2, demoted when unused for a whole inter-cleaning interval (default 6)
-	TieredFirstReduce int // first LOCAL halving triggers at this many learnt clauses (default 2000)
-	TieredReduceInc   int // trigger growth after each halving (default 300)
+	// Clause database management. The §8 length and activity limits and
+	// the tier glue bounds are fixed constants (reduce.go).
+	Reduce         ReduceMode
+	YoungFracNum   int // a clause is young iff distance-from-top < Num/Den · stack size
+	YoungFracDen   int
+	LimitedKeepLen int // ReduceLimitedKeeping: remove clauses longer than this
+	MarkPeriod     int // permanently protect one clause every N restarts (0 = off; the paper's partial anti-looping scheme protects only the topmost clause)
 
 	// RestartPostpone delays a due restart (any policy) while the search is
 	// learning better-than-usual clauses: when the average glue of the last
-	// PostponeWindow learnt clauses is below PostponeFactor times the
-	// lifetime average, the conflict counter is re-armed instead of
-	// restarting (the inverse of Glucose's forced-restart rule).
+	// 50 learnt clauses is below 0.8 times the lifetime average, the
+	// conflict counter is re-armed instead of restarting (the inverse of
+	// Glucose's forced-restart rule; restart.go).
 	RestartPostpone bool
-	PostponeFactor  float64 // postpone while recentAvg < factor · lifetimeAvg (default 0.8)
-	PostponeWindow  int     // recent-glue window in conflicts (default 50)
 
 	// Learnt-clause minimization (post-BerkMin technique; off by default,
 	// available as an extension ablation).
 	MinimizeLearnt bool
 
-	// Inprocessing (post-BerkMin techniques; see inprocess.go). Every
-	// InprocessPeriod restarts — immediately after §8 database management,
-	// while the solver sits at decision level 0 — the enabled passes run
-	// directly over the clause arena. All passes are off by default;
-	// EnableInprocessing turns them on with default bounds.
-	//
-	// InprocessPeriod is the number of restarts between inprocessing
-	// passes (0 disables inprocessing entirely).
+	// InprocessPeriod enables inprocessing (post-BerkMin techniques; see
+	// inprocess.go): every InprocessPeriod restarts — immediately after §8
+	// database management, while the solver sits at decision level 0 —
+	// subsumption, self-subsuming resolution and bounded vivification run
+	// directly over the clause arena. 0 (the default) disables them.
 	InprocessPeriod int
-	// InprocessSubsume removes clauses that are supersets of another live
-	// clause (the subsumed clause is logically redundant).
-	InprocessSubsume bool
-	// InprocessStrengthen applies self-subsuming resolution: when
-	// resolving clauses c and d on a literal yields a subset of d, the
-	// resolved-on literal is deleted from d in place.
-	InprocessStrengthen bool
-	// InprocessVivify re-derives learnt clauses by asserting the negation
-	// of their literals one at a time and propagating: literals whose
-	// negation is already implied are dropped, and an early conflict or
-	// implied literal truncates the clause.
-	InprocessVivify bool
-	// InprocessMaxOcc bounds the occurrence lists scanned per candidate
-	// during subsumption and strengthening (cost control; 0 = default 40).
-	InprocessMaxOcc int
-	// VivifyMaxClauses bounds how many learnt clauses one inprocessing
-	// pass vivifies; a persistent cursor rotates through the learnt stack
-	// across passes (0 = default 128).
-	VivifyMaxClauses int
 
 	// PhaseSaving remembers each variable's last assigned polarity and
 	// reuses it on decisions (a post-BerkMin technique from RSAT-era
@@ -239,37 +188,28 @@ type Options struct {
 // fixed-interval restarts.
 func DefaultOptions() Options {
 	return Options{
-		Decision:         DecideBerkMinTop,
-		Polarity:         PolarityLitActivity,
-		Sensitivity:      SensitivityResponsible,
-		NbTwoThreshold:   100,
-		AgingPeriod:      100,
-		AgingDivisor:     4,
-		Restart:          RestartFixed,
-		RestartFirst:     550,
-		RestartFactor:    1.0,
-		RestartJitter:    50,
-		Reduce:           ReduceBerkMin,
-		YoungFracNum:     15,
-		YoungFracDen:     16,
-		YoungMaxLen:      43,
-		YoungMinAct:      7,
-		OldMaxLen:        9,
-		OldThresholdInit: 60,
-		OldThresholdInc:  1,
-		LimitedKeepLen:   42,
-		Seed:             1,
+		Decision:       DecideBerkMinTop,
+		Polarity:       PolarityLitActivity,
+		Sensitivity:    SensitivityResponsible,
+		NbTwoThreshold: 100,
+		AgingPeriod:    100,
+		AgingDivisor:   4,
+		Restart:        RestartFixed,
+		RestartFirst:   550,
+		RestartFactor:  1.0,
+		RestartJitter:  50,
+		Reduce:         ReduceBerkMin,
+		YoungFracNum:   15,
+		YoungFracDen:   16,
+		LimitedKeepLen: 42,
+		Seed:           1,
 	}
 }
 
-// EnableInprocessing turns on every inprocessing pass (subsumption,
-// self-subsuming resolution, vivification) with default bounds: one pass
-// every 4 restarts.
+// EnableInprocessing turns on inprocessing (subsumption, self-subsuming
+// resolution, vivification): one pass every 4 restarts.
 func (o *Options) EnableInprocessing() {
 	o.InprocessPeriod = 4
-	o.InprocessSubsume = true
-	o.InprocessStrengthen = true
-	o.InprocessVivify = true
 }
 
 // InprocessingOptions is BerkMin with arena-native inprocessing enabled —
@@ -418,72 +358,17 @@ func (o *Options) normalize() {
 	if o.YoungFracNum <= 0 || o.YoungFracDen <= 0 || o.YoungFracNum >= o.YoungFracDen {
 		o.YoungFracNum, o.YoungFracDen = 15, 16
 	}
-	if o.YoungMaxLen <= 0 {
-		o.YoungMaxLen = 43
-	}
-	if o.OldMaxLen <= 0 {
-		o.OldMaxLen = 9
-	}
-	if o.OldThresholdInit <= 0 {
-		o.OldThresholdInit = 60
-	}
 	if o.LimitedKeepLen <= 0 {
 		o.LimitedKeepLen = 42
 	}
-	if o.CoreGlue <= 0 {
-		o.CoreGlue = 2
-	}
-	if o.Tier2Glue <= o.CoreGlue {
-		o.Tier2Glue = o.CoreGlue + 4
-	}
-	if o.TieredFirstReduce <= 0 {
-		o.TieredFirstReduce = 2000
-	}
-	if o.TieredReduceInc <= 0 {
-		o.TieredReduceInc = 300
-	}
-	if o.PostponeFactor <= 0 || o.PostponeFactor >= 1 {
-		o.PostponeFactor = 0.8
-	}
-	if o.PostponeWindow <= 0 {
-		o.PostponeWindow = 50
-	}
 	if o.InprocessPeriod < 0 {
 		o.InprocessPeriod = 0
-	}
-	// EVSIDS: a decay outside (0, 1) would freeze (1) or shrink the bump
-	// increment (>1), and ≤ 0 would flip activity signs or divide by zero.
-	if o.VarDecay <= 0 || o.VarDecay >= 1 {
-		o.VarDecay = 0.95
-	}
-	// LRB alpha schedule: keep 0 < LrbAlphaMin ≤ LrbAlpha ≤ 1 with a
-	// positive step, so the EMA neither freezes nor runs backwards.
-	if o.LrbAlpha <= 0 || o.LrbAlpha > 1 {
-		o.LrbAlpha = 0.4
-	}
-	if o.LrbAlphaMin <= 0 {
-		o.LrbAlphaMin = 0.06
-	}
-	if o.LrbAlphaMin > o.LrbAlpha {
-		o.LrbAlphaMin = o.LrbAlpha
-	}
-	if o.LrbAlphaStep <= 0 {
-		o.LrbAlphaStep = 1e-6
-	}
-	if o.LrbLocality <= 0 || o.LrbLocality > 1 {
-		o.LrbLocality = 0.95
 	}
 	// Between-query decay: a factor outside (0, 1) would grow activities
 	// (>1), zero them (≤0 would also flip heap order) or do nothing (1);
 	// any such value means "off", the documented default.
 	if o.QueryDecay < 0 || o.QueryDecay >= 1 {
 		o.QueryDecay = 0
-	}
-	if o.InprocessMaxOcc <= 0 {
-		o.InprocessMaxOcc = 40
-	}
-	if o.VivifyMaxClauses <= 0 {
-		o.VivifyMaxClauses = 128
 	}
 	if o.Seed == 0 {
 		o.Seed = 0x9E3779B97F4A7C15

@@ -72,16 +72,3 @@ func (s *Solver) LitOccurrences() []int32 {
 	}
 	return occ
 }
-
-// SetMaxConflicts grants the next Solve/SolveAssuming call a budget of n
-// further conflicts, on top of whatever this solver has already spent
-// (Stats.Conflicts is cumulative across calls — the ceiling in Options
-// is absolute, so a fixed per-call budget must be re-anchored before
-// each call). n = 0 removes the ceiling.
-func (s *Solver) SetMaxConflicts(n uint64) {
-	if n == 0 {
-		s.opt.MaxConflicts = 0
-		return
-	}
-	s.opt.MaxConflicts = s.stats.Conflicts + n
-}

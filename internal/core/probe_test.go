@@ -113,32 +113,3 @@ func TestLitOccurrences(t *testing.T) {
 		}
 	}
 }
-
-// TestSetMaxConflicts: the budget is relative to conflicts already spent,
-// so a second call with a fresh small budget stops again instead of
-// inheriting an exhausted absolute ceiling.
-func TestSetMaxConflicts(t *testing.T) {
-	s := New(DefaultOptions())
-	s.AddFormula(pigeonhole(8))
-
-	s.SetMaxConflicts(10)
-	r := s.Solve()
-	if r.Status != StatusUnknown || r.Stop != StopConflicts {
-		t.Fatalf("first call: %v/%v", r.Status, r.Stop)
-	}
-	spent := r.Stats.Conflicts
-
-	s.SetMaxConflicts(10)
-	r = s.Solve()
-	if r.Status != StatusUnknown || r.Stop != StopConflicts {
-		t.Fatalf("second call: %v/%v", r.Status, r.Stop)
-	}
-	if r.Stats.Conflicts <= spent {
-		t.Fatal("second call made no progress")
-	}
-
-	s.SetMaxConflicts(0) // lift the ceiling
-	if r = s.Solve(); r.Status != StatusUnsat {
-		t.Fatalf("uncapped call: %v", r.Status)
-	}
-}

@@ -170,11 +170,34 @@ clauses:
 	return kept
 }
 
+// BerkMin's §8 keep rule: a young conflict clause survives if it is shorter
+// than youngMaxLen literals or more active than youngMinAct; an old one if
+// it is shorter than oldMaxLen or more active than a threshold that starts
+// at oldThresholdInit and grows by oldThresholdInc per cleaning.
+const (
+	youngMaxLen      = 43
+	youngMinAct      = 7
+	oldMaxLen        = 9
+	oldThresholdInit = 60
+	oldThresholdInc  = 1
+)
+
+// The glue-aware three-tier database (ReduceTiered): glue ≤ coreGlue is
+// CORE, glue ≤ tier2Glue is TIER2, and the LOCAL halving first triggers at
+// tieredFirstReduce learnt clauses, the trigger growing by tieredReduceInc
+// after each halving.
+const (
+	coreGlue          = 2
+	tier2Glue         = 6
+	tieredFirstReduce = 2000
+	tieredReduceInc   = 300
+)
+
 // reduceBerkMin applies §8's keep/remove rules to the conflict-clause
 // stack. With the stack holding m clauses, a clause at distance d from the
 // top is young iff d < (YoungFracNum/YoungFracDen)·m. A young clause is
-// kept iff it is shorter than YoungMaxLen or its activity exceeds
-// YoungMinAct; an old clause iff shorter than OldMaxLen or more active than
+// kept iff it is shorter than youngMaxLen or its activity exceeds
+// youngMinAct; an old clause iff shorter than oldMaxLen or more active than
 // the growing threshold. The topmost clause is never removed (anti-looping).
 func (s *Solver) reduceBerkMin() {
 	m := len(s.learnts)
@@ -193,13 +216,13 @@ func (s *Solver) reduceBerkMin() {
 			// propagated for free by the binary tier, and their activity is
 			// deliberately not tracked (analyze.go skips the bump), so the
 			// activity-based rules below must never see them. Every shipped
-			// configuration kept them anyway (YoungMaxLen and OldMaxLen far
+			// configuration kept them anyway (youngMaxLen and oldMaxLen far
 			// exceed 2); this makes the two-tier invariant explicit.
 			keep = true
 		case d*s.opt.YoungFracDen < m*s.opt.YoungFracNum: // young
-			keep = s.ca.size(c) < s.opt.YoungMaxLen || s.ca.act(c) > s.opt.YoungMinAct
+			keep = s.ca.size(c) < youngMaxLen || s.ca.act(c) > youngMinAct
 		default: // old
-			keep = s.ca.size(c) < s.opt.OldMaxLen || s.ca.act(c) > s.oldThreshold
+			keep = s.ca.size(c) < oldMaxLen || s.ca.act(c) > s.oldThreshold
 		}
 		if keep {
 			kept = append(kept, c)
@@ -212,7 +235,7 @@ func (s *Solver) reduceBerkMin() {
 	s.learnts = kept
 	// Long clauses that were active once but stopped participating in
 	// conflicts must eventually go: the old-clause threshold grows.
-	s.oldThreshold += s.opt.OldThresholdInc
+	s.oldThreshold += oldThresholdInc
 }
 
 // tierFor maps a learnt clause's glue and size to its retention tier.
@@ -220,9 +243,9 @@ func (s *Solver) reduceBerkMin() {
 // them forever anyway (attach/detach), so the tier bits must agree.
 func (s *Solver) tierFor(glue, size int) clauseTier {
 	switch {
-	case size <= 2 || glue <= s.opt.CoreGlue:
+	case size <= 2 || glue <= coreGlue:
 		return tierCore
-	case glue <= s.opt.Tier2Glue:
+	case glue <= tier2Glue:
 		return tierMid
 	default:
 		return tierLocal
@@ -288,7 +311,7 @@ func (s *Solver) recountTiers() {
 }
 
 // reduceTiered is the glue-aware three-tier database management
-// (ReduceTiered; Glucose/CaDiCaL lineage). CORE clauses (glue ≤ CoreGlue,
+// (ReduceTiered; Glucose/CaDiCaL lineage). CORE clauses (glue ≤ coreGlue,
 // and every binary) are permanent, like the retained binaries of the
 // propagation tier. TIER2 clauses stay while they keep participating in
 // conflicts; one full inter-cleaning interval without a touch demotes them
@@ -302,7 +325,7 @@ func (s *Solver) reduceTiered() {
 	if m == 0 || m < s.tieredTarget {
 		return
 	}
-	s.tieredTarget += s.opt.TieredReduceInc
+	s.tieredTarget += tieredReduceInc
 
 	// Pass 1: clear the touch marks, demote TIER2 clauses that sat the
 	// whole interval out, and collect the LOCAL deletion candidates.

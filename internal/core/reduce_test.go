@@ -65,15 +65,12 @@ func TestReduceBerkMinKeepRules(t *testing.T) {
 // "long clauses that had been active in the past but stopped participating
 // in conflicts will be removed").
 func TestReduceOldThresholdGrows(t *testing.T) {
-	o := DefaultOptions()
-	o.OldThresholdInit = 60
-	o.OldThresholdInc = 50
-	s := New(o)
+	s := New(DefaultOptions())
 	base := 1
 	// 32 clauses so index 0 is old (d=31 >= 30).
 	var oldClause clauseRef
 	for i := 0; i < 32; i++ {
-		c := mkLearnt(s, base, 20, 61) // long; activity 61 > 60
+		c := mkLearnt(s, base, 20, oldThresholdInit+oldThresholdInc) // long; activity 61 > 60
 		base += s.ca.size(c)
 		if i == 0 {
 			oldClause = c
@@ -89,7 +86,7 @@ func TestReduceOldThresholdGrows(t *testing.T) {
 	if !found {
 		t.Fatal("old active clause should survive the first cleaning")
 	}
-	s.reduceBerkMin() // threshold now 110: 61 <= 110, removed
+	s.reduceBerkMin() // threshold now 61: 61 <= 61, removed
 	for _, c := range s.learnts {
 		if c == oldClause {
 			t.Fatal("old clause should be removed after the threshold grew")

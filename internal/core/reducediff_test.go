@@ -27,11 +27,10 @@ func berkMinChurnOptions() Options {
 	return o
 }
 
-// runDiffSide solves f under opt with a DRUP trace attached and the
-// solver-wide invariants checked afterwards.
-func runDiffSide(t *testing.T, f *cnf.Formula, opt Options) (Status, *bytes.Buffer, []bool) {
+// runDiffSide solves f on the fresh solver s with a DRUP trace attached
+// and the solver-wide invariants checked afterwards.
+func runDiffSide(t *testing.T, f *cnf.Formula, s *Solver) (Status, *bytes.Buffer, []bool) {
 	t.Helper()
-	s := New(opt)
 	var proof bytes.Buffer
 	s.SetProofWriter(&proof)
 	s.AddFormula(f)
@@ -45,8 +44,8 @@ func runDiffSide(t *testing.T, f *cnf.Formula, opt Options) (Status, *bytes.Buff
 // impossible on the instrument sizes used here.
 func diffReduce(t *testing.T, f *cnf.Formula) {
 	t.Helper()
-	stA, proofA, modelA := runDiffSide(t, f, berkMinChurnOptions())
-	stB, proofB, modelB := runDiffSide(t, f, churnOptions())
+	stA, proofA, modelA := runDiffSide(t, f, New(berkMinChurnOptions()))
+	stB, proofB, modelB := runDiffSide(t, f, newChurnSolver(churnOptions()))
 	if stA != stB {
 		t.Fatalf("verdicts disagree: berkmin-db=%v tiered=%v", stA, stB)
 	}

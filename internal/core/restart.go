@@ -13,7 +13,7 @@ func (s *Solver) restart() {
 	// Inprocessing (an extension; inprocess.go) piggybacks on the restart
 	// boundary: the solver is at level 0 with its data structures freshly
 	// recomputed, exactly the state the passes need.
-	if s.ok && s.inprocessEnabled() {
+	if s.ok && s.opt.InprocessPeriod > 0 {
 		s.sinceInprocess++
 		if s.sinceInprocess >= s.opt.InprocessPeriod {
 			s.inprocess()
@@ -22,13 +22,20 @@ func (s *Solver) restart() {
 	s.restartLimit = s.nextRestartLimit()
 }
 
-// maxPostponeStreak bounds consecutive restart postponements so database
-// management (which only runs at restarts) can never be starved forever by
-// a long streak of low-glue conflicts.
-const maxPostponeStreak = 16
+// Restart postponement (Options.RestartPostpone): a due restart is re-armed
+// while the average glue of the last postponeWindow learnt clauses runs
+// below postponeFactor times the lifetime average. maxPostponeStreak bounds
+// consecutive postponements so database management (which only runs at
+// restarts) can never be starved forever by a long streak of low-glue
+// conflicts.
+const (
+	postponeFactor    = 0.8
+	postponeWindow    = 50
+	maxPostponeStreak = 16
+)
 
 // noteGlue records a freshly learnt clause's glue for the postponement
-// rule: the ring holds the last PostponeWindow glues, and the lifetime
+// rule: the ring holds the last postponeWindow glues, and the lifetime
 // totals live in Stats (GlueSum / LearntTotal).
 func (s *Solver) noteGlue(glue int) {
 	s.stats.GlueSum += uint64(glue)
@@ -48,7 +55,7 @@ func (s *Solver) noteGlue(glue int) {
 
 // postponeRestart reports whether a due restart should be re-armed instead
 // of taken: the window must be full and its average glue must run below
-// PostponeFactor times the lifetime average — the search is currently
+// postponeFactor times the lifetime average — the search is currently
 // producing better-than-usual clauses, so abandoning the descent would
 // throw that locality away. The streak cap guarantees restarts (and the
 // database management they carry) still happen.
@@ -61,7 +68,7 @@ func (s *Solver) postponeRestart() bool {
 	}
 	recent := float64(s.recentGlueSum) / float64(s.recentGlueN)
 	lifetime := float64(s.stats.GlueSum) / float64(s.stats.LearntTotal)
-	return recent < s.opt.PostponeFactor*lifetime
+	return recent < postponeFactor*lifetime
 }
 
 // nextRestartLimit computes the conflict interval until the next restart

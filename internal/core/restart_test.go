@@ -211,20 +211,21 @@ func TestRestartKeepsLevel0Assignments(t *testing.T) {
 func TestPostponeRestartRule(t *testing.T) {
 	o := DefaultOptions()
 	o.RestartPostpone = true
-	o.PostponeWindow = 4
-	o.PostponeFactor = 0.8
 	s := New(o)
+	if len(s.recentGlue) != postponeWindow {
+		t.Fatalf("glue window holds %d entries, want %d", len(s.recentGlue), postponeWindow)
+	}
 	if s.postponeRestart() {
 		t.Fatal("empty window must not postpone")
 	}
 	// Lifetime average glue: 10 over 100 clauses.
 	s.stats.LearntTotal = 100
 	s.stats.GlueSum = 1000
-	for i := 0; i < 3; i++ {
+	for i := 0; i < postponeWindow-1; i++ {
 		s.noteGlue(2)
 	}
 	if s.postponeRestart() {
-		t.Fatal("window of 3/4 must not postpone")
+		t.Fatal("a window one short of full must not postpone")
 	}
 	s.noteGlue(2) // recent avg 2 < 0.8·10
 	if !s.postponeRestart() {
@@ -235,15 +236,17 @@ func TestPostponeRestartRule(t *testing.T) {
 		t.Fatal("streak cap must force the restart through")
 	}
 	s.postponeStreak = 0
-	// Fill the ring with glues at the lifetime average: no postponement.
-	for i := 0; i < 4; i++ {
+	// Fill the ring with glues above the lifetime average (every noted glue
+	// was a learnt clause): no postponement.
+	for i := 0; i < postponeWindow; i++ {
 		s.noteGlue(10)
 	}
+	s.stats.LearntTotal += 2 * postponeWindow
 	if s.postponeRestart() {
-		t.Fatal("recent avg at the lifetime average must not postpone")
+		t.Fatal("recent avg above the lifetime average must not postpone")
 	}
 	// noteGlue also keeps GlueSum in step.
-	if s.stats.GlueSum != 1000+3*2+2+4*10 {
+	if s.stats.GlueSum != 1000+postponeWindow*2+postponeWindow*10 {
 		t.Fatalf("GlueSum = %d after noteGlue calls", s.stats.GlueSum)
 	}
 }

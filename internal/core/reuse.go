@@ -105,8 +105,8 @@ func (s *Solver) resetPolicyState() {
 	s.geomLimit = float64(s.opt.RestartFirst)
 	s.lubyIndex = 0
 	s.restartLimit = s.nextRestartLimit()
-	s.tieredTarget = s.opt.TieredFirstReduce
-	s.oldThreshold = s.opt.OldThresholdInit
+	s.tieredTarget = tieredFirstReduce
+	s.oldThreshold = oldThresholdInit
 	s.sinceRestart = 0
 	s.sinceAging = 0
 	s.sinceMark = 0
@@ -123,8 +123,8 @@ func (s *Solver) resetPolicyState() {
 	s.lastCore = nil
 	s.lastFailed = nil
 	if s.opt.RestartPostpone {
-		if len(s.recentGlue) != s.opt.PostponeWindow {
-			s.recentGlue = make([]int32, s.opt.PostponeWindow)
+		if s.recentGlue == nil {
+			s.recentGlue = make([]int32, postponeWindow)
 		}
 		clear(s.recentGlue)
 	} else {
@@ -145,8 +145,7 @@ func (s *Solver) resetPolicyState() {
 // The copy is an identical twin: same Options (including Seed), same
 // learnt clauses, same activities, so two clones run the same search until
 // something differentiates them. Use Reconfigure to give a clone its own
-// configuration and seed, or ClonePruned to carry only the learnt clauses
-// worth keeping.
+// configuration and seed.
 //
 // Per-solver wiring does NOT carry over: the clone has no proof writer
 // (interleaving two solvers' DRUP events in one trace would corrupt it —
@@ -227,39 +226,12 @@ func (s *Solver) Clone() *Solver {
 	return c
 }
 
-// ClonePruned is Clone carrying only the learnt clauses of glue (LBD) at
-// most maxGlue: the rest are dropped from the copy (the original is
-// untouched). A small cap keeps the clauses that propagate like binaries
-// and prunes the bulk, giving a lighter clone for wide fan-outs; maxGlue 0
-// drops every learnt clause, yielding a formula-plane-only copy.
-func (s *Solver) ClonePruned(maxGlue int) *Solver {
-	c := s.Clone()
-	kept := c.learnts[:0]
-	for _, r := range c.learnts {
-		if c.ca.glue(r) <= maxGlue {
-			kept = append(kept, r)
-			continue
-		}
-		c.ca.free(r)
-	}
-	if len(kept) == len(c.learnts) {
-		return c
-	}
-	c.learnts = kept
-	c.clearLevel0Reasons()
-	c.maybeGC()
-	c.rebuildWatches()
-	c.rebuildBinOcc()
-	c.recountTiers()
-	return c
-}
-
 // Reconfigure swaps the solver's Options in place, re-arming every piece
 // of policy state the configuration drives: the restart sequence restarts
 // from its new first interval, database-management thresholds reset, the
 // PRNG is reseeded with the new Seed, the strategy-3 heap and the
 // postponement window are built or torn down as the new configuration
-// requires, and learnt clauses are re-tiered under the new glue bounds.
+// requires, and learnt clauses are re-tiered from their glue.
 // Loaded clauses, learnt clauses, activities and Stats are all kept — it
 // reconfigures, it does not Reset. Must be called between Solve calls.
 //

@@ -86,7 +86,7 @@ func TestCloneSharesNoMutableState(t *testing.T) {
 	o.OptimizedGlobalPick = true
 	o.RestartPostpone = true
 	o.MaxConflicts = 60
-	s := New(o)
+	s := newChurnSolver(o)
 	s.AddFormula(pigeonhole(6))
 	s.Solve() // populate learnts, activities, heap, glue window
 
@@ -168,11 +168,11 @@ func TestResetInvariants(t *testing.T) {
 		"tiered":  churnOptions(),
 	} {
 		for i, f := range formulas {
-			fresh := New(opt)
+			fresh := newChurnSolver(opt)
 			fresh.AddFormula(f)
 			want := fresh.Solve().Status
 
-			s := New(opt)
+			s := newChurnSolver(opt)
 			s.AddFormula(f)
 			s.Solve()
 			s.Reset()
@@ -190,7 +190,7 @@ func TestResetInvariants(t *testing.T) {
 			// leaves behind between queries.
 			limited := opt
 			limited.MaxConflicts = 30
-			s2 := New(limited)
+			s2 := newChurnSolver(limited)
 			s2.AddFormula(f)
 			s2.Solve()
 			s2.Reset()
@@ -201,42 +201,6 @@ func TestResetInvariants(t *testing.T) {
 			}
 		}
 	}
-}
-
-// TestClonePruned checks glue-filtered cloning: the copy keeps exactly the
-// learnt clauses under the cap, stays structurally sound, and still reaches
-// the right answer; the original is untouched.
-func TestClonePruned(t *testing.T) {
-	o := churnOptions()
-	o.MaxConflicts = 80
-	s := New(o)
-	s.AddFormula(pigeonhole(6))
-	s.Solve()
-	before := len(s.learnts)
-	if before == 0 {
-		t.Fatal("no learnt clauses to prune")
-	}
-
-	c := s.ClonePruned(2)
-	if len(s.learnts) != before {
-		t.Fatal("ClonePruned mutated the original's learnt list")
-	}
-	for _, r := range c.learnts {
-		if c.ca.glue(r) > 2 {
-			t.Fatalf("pruned clone kept a clause of glue %d", c.ca.glue(r))
-		}
-	}
-	checkInvariants(t, c)
-	c.opt.MaxConflicts = 0
-	if got := c.Solve().Status; got != StatusUnsat {
-		t.Fatalf("pruned clone answered %v", got)
-	}
-
-	empty := s.ClonePruned(0)
-	if len(empty.learnts) != 0 {
-		t.Fatalf("ClonePruned(0) kept %d learnt clauses", len(empty.learnts))
-	}
-	checkInvariants(t, empty)
 }
 
 // TestReconfigure checks the Clone+Reconfigure portfolio seam: a clone

@@ -150,7 +150,7 @@ type Solver struct {
 	lastGlue  int // glue of the most recently analyzed learnt clause
 
 	// Restart postponement (Options.RestartPostpone): ring buffer of the
-	// last PostponeWindow learnt-clause glues, compared against the
+	// last postponeWindow learnt-clause glues, compared against the
 	// lifetime average (Stats.GlueSum / Stats.LearntTotal).
 	recentGlue     []int32
 	recentGluePos  int
@@ -226,14 +226,14 @@ func New(opt Options) *Solver {
 		opt:          opt,
 		ok:           true,
 		rng:          newXorshift(opt.Seed),
-		oldThreshold: opt.OldThresholdInit,
+		oldThreshold: oldThresholdInit,
 	}
 	s.installDecider()
 	s.geomLimit = float64(opt.RestartFirst)
 	s.restartLimit = s.nextRestartLimit()
-	s.tieredTarget = opt.TieredFirstReduce
+	s.tieredTarget = tieredFirstReduce
 	if opt.RestartPostpone {
-		s.recentGlue = make([]int32, opt.PostponeWindow)
+		s.recentGlue = make([]int32, postponeWindow)
 	}
 	return s
 }

@@ -15,13 +15,12 @@ func mkTiered(s *Solver, firstVar, length int, act int64, glue int, tier clauseT
 	return c
 }
 
-// tieredForTest returns a tiered solver whose cleaning threshold is 1, so
-// reduceTiered always runs a full pass.
+// tieredForTest returns a tiered solver whose cleaning target is 1, so its
+// next reduceTiered runs a full pass.
 func tieredForTest() *Solver {
-	o := TieredOptions()
-	o.TieredFirstReduce = 1
-	o.TieredReduceInc = 1
-	return New(o)
+	s := New(TieredOptions())
+	s.tieredTarget = 1
+	return s
 }
 
 // finishCleaning mimics the tail of reduceDB after a raw reduceTiered
@@ -160,10 +159,11 @@ func TestReduceTieredRespectsTopAndMarked(t *testing.T) {
 // TestReduceTieredTargetGates: below the growing database-size target the
 // cleaning is a no-op, and crossing the target advances it.
 func TestReduceTieredTargetGates(t *testing.T) {
-	o := TieredOptions()
-	o.TieredFirstReduce = 8
-	o.TieredReduceInc = 4
-	s := New(o)
+	s := New(TieredOptions())
+	if s.tieredTarget != tieredFirstReduce {
+		t.Fatalf("tieredTarget = %d at start, want %d", s.tieredTarget, tieredFirstReduce)
+	}
+	s.tieredTarget = 8
 	base := 1
 	for i := 0; i < 6; i++ {
 		c := mkTiered(s, base, 9, 0, 9, tierLocal)
@@ -179,12 +179,12 @@ func TestReduceTieredTargetGates(t *testing.T) {
 		base += s.ca.size(c)
 	}
 	s.recountTiers()
-	s.reduceTiered() // 10 >= 8: runs, target becomes 12
+	s.reduceTiered() // 10 >= 8: runs, target grows by tieredReduceInc
 	if s.stats.DeletedTotal == 0 {
 		t.Fatal("cleaning above the target deleted nothing")
 	}
-	if s.tieredTarget != 12 {
-		t.Fatalf("tieredTarget = %d, want 12", s.tieredTarget)
+	if want := 8 + tieredReduceInc; s.tieredTarget != want {
+		t.Fatalf("tieredTarget = %d, want %d", s.tieredTarget, want)
 	}
 }
 
@@ -200,8 +200,7 @@ func TestTieredSolveEndToEnd(t *testing.T) {
 		{"php5", pigeonhole(5), StatusUnsat},
 		{"php6", pigeonhole(6), StatusUnsat},
 	} {
-		o := churnOptions()
-		s := New(o)
+		s := newChurnSolver(churnOptions())
 		s.AddFormula(tc.f)
 		r := s.Solve()
 		if r.Status != tc.want {

@@ -58,7 +58,7 @@ type Options struct {
 	// variable elimination: pure literals are handled as clause removals
 	// (never fixed as units, which would not be RUP), and
 	// eliminated-variable clauses get no deletion lines at all, so that
-	// Restore can hand them back to the solver under incremental use
+	// View.Restore can hand them back to the solver under incremental use
 	// without the checker having forgotten them.
 	Proof io.Writer
 }
@@ -73,11 +73,6 @@ func DefaultOptions() Options {
 type Elim struct {
 	V       cnf.Var
 	Clauses []cnf.Clause
-
-	// restored marks an elimination reverted by Outcome.Restore: the
-	// variable is constrained again in the solver, so Extend must not
-	// overwrite its model value.
-	restored bool
 }
 
 // Outcome is the preprocessing result.
@@ -588,7 +583,7 @@ func (s *simplifier) eliminationPass() bool {
 
 // eliminate records the occurrences in occBuf (cur holds their current
 // literals) for model reconstruction and removes them. No deletion lines:
-// Restore may re-add these clauses to the solver under incremental use,
+// View.Restore may re-add these clauses to the solver under incremental use,
 // and a clause a checker retains can never break a later RUP step.
 func (s *simplifier) eliminate(v cnf.Var, cur []cnf.Clause) {
 	elim := Elim{V: v}
@@ -689,30 +684,8 @@ func resolve(a, b cnf.Clause, v cnf.Var) (cnf.Clause, bool) {
 
 // Extend completes a model of the simplified formula into a model of the
 // original: eliminated variables are assigned, in reverse elimination
-// order, the value that satisfies all their original clauses. Variables
-// whose elimination was reverted by Restore keep the solver's value.
+// order, the value that satisfies all their original clauses. A solver
+// that restored eliminations extends through its View instead.
 func (o *Outcome) Extend(model []bool) []bool {
 	return o.extend(model, nil)
-}
-
-// Restore reverts the i-th elimination for incremental solving: when a
-// later clause or assumption mentions an eliminated variable, the caller
-// re-adds the returned original clauses to the solver (making the variable
-// a first-class constraint again) and Extend stops synthesizing a value
-// for it. The returned clauses may themselves mention variables eliminated
-// AFTER this one — the caller must restore those transitively, or the
-// reconstruction of those variables could falsify the re-added clauses.
-//
-// Restore mutates the outcome and is for a single-owner outcome only: when
-// one outcome backs several solvers (snapshot fan-out), each solver must
-// use its own View instead (view.go).
-func (o *Outcome) Restore(i int) []cnf.Clause {
-	e := &o.Elims[i]
-	if e.restored {
-		return nil
-	}
-	e.restored = true
-	cs := e.Clauses
-	e.Clauses = nil
-	return cs
 }

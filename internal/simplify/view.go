@@ -2,27 +2,27 @@ package simplify
 
 import "berkmin/internal/cnf"
 
-// View is a per-solver handle on a shared, effectively immutable Outcome.
-//
-// Outcome.Restore mutates the outcome (it marks the elimination reverted
-// and surrenders the recorded clauses), which is correct for the original
-// single-owner design but unusable once one preprocessing result backs
-// many solvers — a snapshot fanned out to a pool, portfolio members, or
-// concurrent query workers. A View keeps the restored-elimination flags on
-// the solver's side instead: Restore reads the shared clause record
-// without touching it, and Extend consults the view's flags. Any number of
-// views can restore and extend independently and concurrently, as long as
-// the Outcome itself is no longer mutated (do not mix Outcome.Restore with
-// views on the same outcome).
+// View is a per-solver handle on a shared, immutable Outcome: it records
+// which eliminations this solver has reverted. One preprocessing result
+// may back many solvers — a snapshot fanned out to a pool, portfolio
+// members, or concurrent query workers — so the restored flags live on the
+// solver's side. Restore reads the shared clause record without touching
+// it, and Extend consults the view's flags; any number of views can
+// restore and extend independently and concurrently.
 type View struct {
 	out      *Outcome
-	restored []bool // per Elims index; view-local
+	index    map[cnf.Var]int // eliminated variable -> index into out.Elims; read-only, shared by clones
+	restored []bool          // per Elims index; view-local
 }
 
 // NewView returns a fresh view of the outcome with no eliminations
-// restored, regardless of any prior Outcome.Restore calls.
+// restored.
 func (o *Outcome) NewView() *View {
-	return &View{out: o, restored: make([]bool, len(o.Elims))}
+	index := make(map[cnf.Var]int, len(o.Elims))
+	for i, e := range o.Elims {
+		index[e.V] = i
+	}
+	return &View{out: o, index: index, restored: make([]bool, len(o.Elims))}
 }
 
 // Outcome returns the shared preprocessing result backing the view.
@@ -31,18 +31,20 @@ func (v *View) Outcome() *Outcome { return v.out }
 // Clone returns an independent copy of the view (same shared outcome, own
 // restored flags) — the companion of a solver clone.
 func (v *View) Clone() *View {
-	return &View{out: v.out, restored: append([]bool(nil), v.restored...)}
+	return &View{out: v.out, index: v.index, restored: append([]bool(nil), v.restored...)}
 }
 
-// Restore reverts the i-th elimination in this view only: it returns the
+// Restore reverts the elimination of x in this view only: it returns the
 // recorded original clauses for the caller to re-add to its solver and
-// stops Extend from synthesizing a value for the variable. The shared
-// outcome is not modified, so sibling views are unaffected. Like
-// Outcome.Restore, the returned clauses may mention variables eliminated
-// after this one — the caller must restore those transitively. Returns nil
-// when the elimination was already restored in this view.
-func (v *View) Restore(i int) []cnf.Clause {
-	if v.restored[i] {
+// stops Extend from synthesizing a value for x. The shared outcome is not
+// modified, so sibling views are unaffected. The returned clauses may
+// mention variables eliminated after x — the caller must restore those
+// transitively, or their reconstruction could falsify the re-added
+// clauses. Returns nil when x was not eliminated or is already restored in
+// this view.
+func (v *View) Restore(x cnf.Var) []cnf.Clause {
+	i, ok := v.index[x]
+	if !ok || v.restored[i] {
 		return nil
 	}
 	v.restored[i] = true
@@ -56,17 +58,16 @@ func (v *View) Extend(model []bool) []bool {
 	return v.out.extend(model, v.restored)
 }
 
-// extend is the shared reconstruction walk: restoredAt reports whether the
-// i-th elimination is reverted (nil callback = use the outcome's own
-// flags, the single-owner path).
+// extend is the shared reconstruction walk: restored[i] marks the i-th
+// elimination as reverted (nil = none are).
 func (o *Outcome) extend(model []bool, restored []bool) []bool {
 	out := make([]bool, len(model))
 	copy(out, model)
 	for i := len(o.Elims) - 1; i >= 0; i-- {
-		e := o.Elims[i]
-		if restored != nil && restored[i] || restored == nil && e.restored {
+		if restored != nil && restored[i] {
 			continue
 		}
+		e := o.Elims[i]
 		// Default false; flip to true if some clause requires it.
 		out[e.V] = false
 		for _, c := range e.Clauses {

@@ -23,21 +23,22 @@ func TestViewIndependentRestores(t *testing.T) {
 	}
 
 	a, b := o.NewView(), o.NewView()
-	got := a.Restore(0)
+	x := o.Elims[0].V
+	got := a.Restore(x)
 	if len(got) == 0 {
 		t.Fatal("view restore returned no clauses")
 	}
-	if a.Restore(0) != nil {
+	if a.Restore(x) != nil {
 		t.Fatal("second restore of the same elimination returned clauses again")
+	}
+	if a.Restore(cnf.Var(f.NumVars+1)) != nil {
+		t.Fatal("restore of a never-eliminated variable returned clauses")
 	}
 	// The shared outcome keeps the record: b and future views still see it.
 	if len(o.Elims[0].Clauses) == 0 {
 		t.Fatal("view restore surrendered the shared clause record")
 	}
-	if o.Elims[0].restored {
-		t.Fatal("view restore mutated the shared outcome's flags")
-	}
-	if got2 := b.Restore(0); len(got2) != len(got) {
+	if got2 := b.Restore(x); len(got2) != len(got) {
 		t.Fatalf("sibling view got %d clauses, first view %d", len(got2), len(got))
 	}
 
@@ -45,8 +46,8 @@ func TestViewIndependentRestores(t *testing.T) {
 	// view, is synthesized in a fresh one.
 	fresh := o.NewView()
 	restoredAll := o.NewView()
-	for i := range o.Elims {
-		restoredAll.Restore(i)
+	for _, e := range o.Elims {
+		restoredAll.Restore(e.V)
 	}
 	base := make([]bool, f.NumVars+1)
 	if m := fresh.Extend(base); !cnf.Assignment(m).Satisfies(f) {
@@ -75,12 +76,12 @@ func TestViewCloneAndConcurrentExtend(t *testing.T) {
 	}
 
 	v := o.NewView()
-	v.Restore(0)
+	v.Restore(o.Elims[0].V)
 	c := v.Clone()
-	if c.Restore(0) != nil {
+	if c.Restore(o.Elims[0].V) != nil {
 		t.Fatal("clone forgot the parent view's restore")
 	}
-	if len(o.Elims) > 1 && c.Restore(1) == nil {
+	if len(o.Elims) > 1 && c.Restore(o.Elims[1].V) == nil {
 		t.Fatal("clone could not restore an elimination its parent had not")
 	}
 

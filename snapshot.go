@@ -2,7 +2,6 @@ package berkmin
 
 import (
 	"context"
-	"maps"
 	"sync"
 
 	"berkmin/internal/cnf"
@@ -76,13 +75,9 @@ func (s *Solver) Clone() *Solver {
 		verify:   s.verify,
 		maxTime:  s.maxTime,
 		fed:      true,
-		outcome:  s.outcome,
 	}
 	if s.view != nil {
 		c.view = s.view.Clone()
-	}
-	if len(s.elimIndex) > 0 {
-		c.elimIndex = maps.Clone(s.elimIndex)
 	}
 	return c
 }
