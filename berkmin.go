@@ -125,7 +125,7 @@ type Solver struct {
 	// outcome may be SHARED with sibling solvers derived from one Snapshot,
 	// so all restoration and model reconstruction goes through the
 	// solver-local view, never through the outcome directly.
-	simp         *simplify.Options
+	simp         bool
 	view         *simplify.View // nil until preprocessing ran
 	fed          bool           // the core has received its (possibly simplified) input
 	preSpent     time.Duration  // preprocessing time, charged to the first search's Runtime
@@ -160,28 +160,31 @@ func (s *Solver) SetProofWriter(w io.Writer) {
 // subsumption, self-subsuming resolution, bounded variable elimination) on
 // the first Solve or SolveAssuming call; the search then runs on the
 // simplified formula and satisfying assignments are mapped back to the
-// original variables before being returned. Pass nil to disable. Must be
-// called before any clause is added.
+// original variables before being returned. The argument is an on switch:
+// any non-nil value enables preprocessing, whose passes and bounds are
+// fixed, and nil disables it. The proof trace goes to the writer set with
+// SetProofWriter, and Options.MaxTime and Interrupt bound the pass. Must
+// be called before any clause is added.
 //
 // Incremental solving remains fully supported: if a later AddClause or
 // assumption mentions a variable that preprocessing eliminated, the
 // variable's original clauses are transparently restored first.
 func (s *Solver) SetSimplify(opt *SimplifyOptions) {
 	if opt == nil {
-		if s.simp != nil && !s.fed && s.pristine.NumClauses() > 0 {
+		if s.simp && !s.fed && s.pristine.NumClauses() > 0 {
 			// Clauses were being held back for preprocessing; hand them to
 			// the engine now that it is disabled. (With no clauses yet,
 			// nothing was held back and re-enabling stays possible.)
 			s.fed = true
 			s.core.AddFormula(s.pristine)
 		}
-		s.simp = nil
+		s.simp = false
 		return
 	}
 	if s.pristine.NumClauses() > 0 || s.fed {
 		panic("berkmin: SetSimplify must be called before adding clauses")
 	}
-	s.simp = opt
+	s.simp = true
 }
 
 // AddClause adds a clause given as signed DIMACS literals (±v). A zero
@@ -228,7 +231,7 @@ func (s *Solver) AddFormula(f *Formula) error {
 	if f.NumVars > s.pristine.NumVars {
 		s.pristine.NumVars = f.NumVars
 	}
-	if s.simp == nil || s.fed {
+	if !s.simp || s.fed {
 		// feed only sees clauses; register any variables beyond them.
 		s.core.AddFormula(&cnf.Formula{NumVars: f.NumVars})
 	}
@@ -242,7 +245,7 @@ func (s *Solver) AddFormula(f *Formula) error {
 // preprocessing is off or already done (restoring eliminated variables the
 // clause mentions), deferred to the first solve otherwise.
 func (s *Solver) feed(c cnf.Clause) {
-	if s.simp != nil && !s.fed {
+	if s.simp && !s.fed {
 		return // held back until preprocess()
 	}
 	for _, l := range c {
@@ -258,17 +261,15 @@ func (s *Solver) preprocess() {
 		return
 	}
 	s.fed = true
-	if s.simp == nil {
+	if !s.simp {
 		return
 	}
-	opt := *s.simp
-	opt.Proof = s.proofW
-	// Preprocessing honors the solver's budget and Interrupt: it stops at
-	// the next pass boundary (the partially simplified formula is still
+	// Preprocessing honors the solver's budget and Interrupt: it stops
+	// soon after either fires (the partially simplified formula is still
 	// equisatisfiable), so a timeout or cancellation is never stuck behind
 	// an unbounded simplification; the time spent here is deducted from
 	// the first search so MaxTime stays an end-to-end bound.
-	out, spent, remaining := simplify.Run(s.pristine, opt, s.maxTime, s.core.Interrupted)
+	out, spent, remaining := simplify.Run(s.pristine, simplify.Options{Proof: s.proofW}, s.maxTime, s.core.Interrupted)
 	s.view, s.preSpent, s.preRemaining = out.NewView(), spent, remaining
 	// Feeding the simplified formula (its empty clause, when preprocessing
 	// alone refuted the input) brings the core to the same verdict state.
@@ -407,9 +408,9 @@ type ParallelOptions struct {
 	MaxTime      time.Duration
 	// Seed diversifies the member PRNGs (0 means 1).
 	Seed uint64
-	// Simplify preprocesses the formula once before the members race
-	// (DefaultSimplifyOptions bounds); the winning model is mapped back to
-	// the original variables.
+	// Simplify preprocesses the formula once before the members race, as
+	// SetSimplify does; the winning model is mapped back to the original
+	// variables.
 	Simplify bool
 }
 
@@ -519,8 +520,7 @@ func engineSolver(f *Formula, maxTime time.Duration, simplify bool, proof io.Wri
 	o.MaxTime = maxTime
 	s := NewWithOptions(o)
 	if simplify {
-		so := DefaultSimplifyOptions()
-		s.SetSimplify(&so)
+		s.SetSimplify(&SimplifyOptions{})
 	}
 	if proof != nil {
 		s.SetProofWriter(proof)

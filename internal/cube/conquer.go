@@ -242,7 +242,8 @@ func negate(lits []cnf.Lit) []cnf.Lit {
 // cubes on a scratch clone of master, then conquers with master itself as
 // worker 0 (so master is mutated — pass a dedicated solver) plus clones.
 // When ctx fires, the cuber stops at its next node, every worker is
-// interrupted, and the result reports StopInterrupted. The model is in the
+// interrupted, and the result reports StopInterrupted (at once, with
+// nothing cloned, when ctx fired before the call). The model is in the
 // master's variable space and the stitched proof refutes the master's
 // formula; reconstruction, verification and any preprocessing trace that
 // leads the proof stay with the caller (the root package's SolveCubes).
@@ -262,6 +263,9 @@ func SolveContext(ctx context.Context, master *core.Solver, opt Options) (res Re
 			writeClause(opt.Proof, nil)
 		}
 		return Result{Status: core.StatusUnsat}
+	}
+	if ctx.Err() != nil {
+		return Result{Status: core.StatusUnknown, Stop: core.StopInterrupted}
 	}
 
 	// Cube phase. The scratch clone has never solved, so its database is

@@ -148,11 +148,15 @@ func geometricOptions() core.Options {
 // its variant, so clause ingestion is never repeated, and the master
 // itself is only read — one master (e.g. a Snapshot's) can serve many
 // concurrent Race calls. When ctx fires, every member is interrupted and
-// the result reports StopInterrupted. All members are waited for before
+// the result reports StopInterrupted (with no members at all when ctx has
+// fired before the call). All members are waited for before
 // returning, so no goroutine outlives the call. The winning model is in
 // the master's variable space — reconstruction and verification stay
 // with the caller.
 func Race(ctx context.Context, master *core.Solver, opt Options) Result {
+	if ctx.Err() != nil {
+		return Result{Result: core.Result{Status: core.StatusUnknown, Stop: core.StopInterrupted}}
+	}
 	cfgs := Variants(conc.Jobs(opt.Jobs), opt.BaseSeed)
 	solvers := make([]*core.Solver, len(cfgs))
 	for i, c := range cfgs {

@@ -2,6 +2,7 @@ package simplify
 
 import (
 	"bytes"
+	"math/bits"
 	"reflect"
 	"testing"
 
@@ -9,21 +10,35 @@ import (
 	"berkmin/internal/drup"
 )
 
-// boundFormula returns a formula over variables 1..7 made of the given
-// clauses over variable 1, followed by every all-positive and every
-// all-negative 3-clause over variables 2..6. Each of 2..6 then occurs in
-// twelve filler clauses, so under MaxOccurrences 6 variable 1 is the only
-// elimination candidate and the filler itself never changes.
+// boundFormula returns a formula over variables 1..12 made of the given
+// clauses over variable 1, followed by filler that keeps variables 2..6
+// and the padding variables 8..12 out of elimination's reach. Each filler
+// clause is one literal over 2..6 and a sign pattern over 8..12, even
+// patterns with the positive literal and odd ones with the negative. Each
+// of 2..6 then occurs in 32 filler clauses, each padding variable in 160,
+// both past maxOccurrences in both polarities, so variable 1 is the only
+// elimination candidate. No two filler clauses differ in exactly one
+// complemented literal, and none shares two variables with a clause over
+// 1..7, so subsumption and strengthening never change the filler either.
 func boundFormula(v1 ...[]int) (f *cnf.Formula, filler []cnf.Clause) {
-	f = cnf.New(7)
+	f = cnf.New(12)
 	for _, c := range v1 {
 		f.AddClause(c...)
 	}
-	for a := 2; a <= 6; a++ {
-		for b := a + 1; b <= 6; b++ {
-			for c := b + 1; c <= 6; c++ {
-				filler = append(filler, cnf.NewClause(a, b, c), cnf.NewClause(-a, -b, -c))
+	for x := 2; x <= 6; x++ {
+		for pattern := 0; pattern < 32; pattern++ {
+			c := []int{x}
+			if bits.OnesCount(uint(pattern))%2 == 1 {
+				c[0] = -x
 			}
+			for i := 0; i < 5; i++ {
+				p := 8 + i
+				if pattern&(1<<i) != 0 {
+					p = -p
+				}
+				c = append(c, p)
+			}
+			filler = append(filler, cnf.NewClause(c...))
 		}
 	}
 	f.Clauses = append(f.Clauses, filler...)
@@ -46,8 +61,6 @@ func checkOutcome(t *testing.T, got, want *Outcome) {
 	}
 }
 
-var boundOptions = Options{EliminateVars: true, MaxOccurrences: 6}
-
 // At the bound the variable is eliminated: 2 positive × 3 negative
 // occurrences give five non-tautological resolvents ((1 2)×(−1 −2) is a
 // tautology), and 5 ≤ 2+3.
@@ -55,12 +68,12 @@ func TestEliminationAtBound(t *testing.T) {
 	v1 := [][]int{{1, 2}, {1, 3}, {-1, -2}, {-1, 4}, {-1, 5}}
 	f, filler := boundFormula(v1...)
 	want := &Outcome{
-		Formula: &cnf.Formula{NumVars: 7, Clauses: append(append([]cnf.Clause(nil), filler...),
+		Formula: &cnf.Formula{NumVars: 12, Clauses: append(append([]cnf.Clause(nil), filler...),
 			clauses([]int{2, 4}, []int{2, 5}, []int{-2, 3}, []int{3, 4}, []int{3, 5})...)},
 		Elims:          []Elim{{V: 1, Clauses: clauses(v1...)}},
 		EliminatedVars: 1,
 	}
-	checkOutcome(t, Simplify(f, boundOptions), want)
+	checkOutcome(t, Simplify(f, Options{}), want)
 }
 
 // One resolvent past the bound the variable stays, and so do all of its
@@ -69,8 +82,8 @@ func TestEliminationAtBound(t *testing.T) {
 func TestEliminationRejectedByBound(t *testing.T) {
 	v1 := [][]int{{1, 2}, {1, 3}, {-1, -2}, {-1, 4}, {-1, 5}, {-1, 6}}
 	f, _ := boundFormula(v1...)
-	want := &Outcome{Formula: &cnf.Formula{NumVars: 7, Clauses: append([]cnf.Clause(nil), f.Clauses...)}}
-	checkOutcome(t, Simplify(f, boundOptions), want)
+	want := &Outcome{Formula: &cnf.Formula{NumVars: 12, Clauses: append([]cnf.Clause(nil), f.Clauses...)}}
+	checkOutcome(t, Simplify(f, Options{}), want)
 }
 
 // A variable with an occurrence satisfied under a fixed unit is postponed,
@@ -81,11 +94,10 @@ func TestEliminationPostponedBySatisfiedOccurrence(t *testing.T) {
 	f, filler := boundFormula([]int{7}, []int{1, 3}, []int{1, 7}, []int{-1, 4}, []int{-1, 5})
 	kept := append(clauses([]int{1, 3}, []int{-1, 4}, []int{-1, 5}), filler...)
 	want := &Outcome{
-		Formula:         &cnf.Formula{NumVars: 7, Clauses: append(kept, cnf.NewClause(7))},
-		Units:           []cnf.Lit{cnf.PosLit(7)},
+		Formula:         &cnf.Formula{NumVars: 12, Clauses: append(kept, cnf.NewClause(7))},
 		PropagatedUnits: 1,
 	}
-	checkOutcome(t, Simplify(f, boundOptions), want)
+	checkOutcome(t, Simplify(f, Options{}), want)
 }
 
 // Two live clauses that are the units {1} and {¬1} under the fixed

@@ -3,6 +3,7 @@ package simplify
 import (
 	"bytes"
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
@@ -91,12 +92,6 @@ func TestProofPreprocessThenSolve(t *testing.T) {
 // proof, and SAT verdicts must reconstruct to a model of the original.
 func TestProofRandomUnsat(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	optSets := []Options{
-		DefaultOptions(),
-		{Subsume: true, MaxRounds: 3, MaxOccurrences: 16},
-		{EliminateVars: true, MaxRounds: 3, MaxOccurrences: 16},
-		{Subsume: true, EliminateVars: true, MaxGrowth: 4, MaxOccurrences: 30, MaxRounds: 8},
-	}
 	checked := 0
 	for iter := 0; iter < 250; iter++ {
 		n := 3 + rng.Intn(7)
@@ -114,9 +109,7 @@ func TestProofRandomUnsat(t *testing.T) {
 		want := dpll.BruteForce(f).Sat
 
 		var proof bytes.Buffer
-		opt := optSets[iter%len(optSets)]
-		opt.Proof = &proof
-		o := Simplify(f, opt)
+		o := Simplify(f, Options{Proof: &proof})
 		var status core.Status
 		var model []bool
 		if o.Unsat {
@@ -156,9 +149,9 @@ func TestProofRandomUnsat(t *testing.T) {
 	}
 }
 
-// TestBudgetStopsSimplification: an expired deadline or a firing Stop hook
-// must cut simplification short at a pass boundary, leaving an
-// equisatisfiable (merely less simplified) outcome.
+// TestBudgetStopsSimplification: a budget or stop hook that fires part
+// way through must cut simplification short, leaving an equisatisfiable
+// (merely less simplified) outcome.
 func TestBudgetStopsSimplification(t *testing.T) {
 	// Random 3-SAT with a planted solution (variable v is true iff v is
 	// even), so the formula is guaranteed satisfiable.
@@ -176,11 +169,16 @@ func TestBudgetStopsSimplification(t *testing.T) {
 		}
 		f.Add(c)
 	}
-	for _, opt := range []Options{
-		func() Options { o := DefaultOptions(); o.Deadline = time.Now().Add(-time.Second); return o }(),
-		func() Options { o := DefaultOptions(); o.Stop = func() bool { return true }; return o }(),
+	// The hook is read on the first poll, while loading, and then every
+	// 2048th: firing on its second read stops the first subsumption pass
+	// a few dozen clauses in.
+	reads := 0
+	secondRead := func() bool { reads++; return reads >= 2 }
+	for _, run := range []func() *Outcome{
+		func() *Outcome { o, _, _ := Run(f, DefaultOptions(), time.Nanosecond, nil); return o },
+		func() *Outcome { o, _, _ := Run(f, DefaultOptions(), 0, secondRead); return o },
 	} {
-		o := Simplify(f, opt)
+		o := run()
 		if o.Unsat {
 			t.Fatal("budget-stopped preprocessing refuted a formula it barely touched")
 		}
@@ -194,28 +192,62 @@ func TestBudgetStopsSimplification(t *testing.T) {
 			t.Fatal("budget-stopped outcome broke model reconstruction")
 		}
 	}
+	if reads != 2 {
+		t.Fatalf("stop hook read %d times, want 2", reads)
+	}
 }
 
-// TestRunComposesStopAndBudget: the Run front-end helper must honor an
-// external stop hook even when the caller supplied their own, and must
-// return a clamped remaining budget.
-func TestRunComposesStopAndBudget(t *testing.T) {
-	f := cnf.New(3)
-	f.AddClause(1, 2)
-	f.AddClause(-1, 3)
-	userCalled := false
-	opt := DefaultOptions()
-	opt.Stop = func() bool { userCalled = true; return false }
-	o, elapsed, remaining := Run(f, opt, time.Second, func() bool { return true })
-	if o == nil || o.Unsat {
-		t.Fatalf("outcome %+v", o)
+// TestRunStoppedFromStart: a Run whose stop hook fires from the start
+// leaves the input untouched — no subsumption, strengthening or
+// elimination, and nothing in the trace — and that outcome is still
+// equisatisfiable, extends models, and leads a core proof that verifies.
+// The formulas have subsumable and strengthenable clauses, which an
+// unbounded run simplifies. Run also returns the remaining budget clamped
+// to at least 1ms, and an unlimited budget of 0 as it is.
+func TestRunStoppedFromStart(t *testing.T) {
+	sat := cnf.New(4)
+	sat.AddClause(1, 2)
+	sat.AddClause(1, 2, 3)  // subsumed by (1 2)
+	sat.AddClause(-1, 2, 4) // strengthened to (2 4) by (1 2)
+	sat.AddClause(-2, -4)
+	unsat := cnf.New(3)
+	for _, c := range [][]int{{1, 2}, {1, -2}, {-1, 2}, {-1, -2}, {1, 2, 3}, {-1, -2, -3}} {
+		unsat.AddClause(c...)
 	}
-	_ = userCalled // the user hook stays wired; rate-limited polling may or may not reach it here
-	if elapsed < 0 || remaining <= 0 || remaining > time.Second {
-		t.Fatalf("elapsed=%v remaining=%v", elapsed, remaining)
+	stopped := func() bool { return true }
+	for _, f := range []*cnf.Formula{sat, unsat} {
+		if o := Simplify(f, DefaultOptions()); o.RemovedSubsumed+o.StrengthenedLits == 0 {
+			t.Fatalf("unbounded run left %v as it was; the stopped run proves nothing", f.Clauses)
+		}
+		var proof bytes.Buffer
+		opt := DefaultOptions()
+		opt.Proof = &proof
+		o, elapsed, remaining := Run(f, opt, time.Second, stopped)
+		if !reflect.DeepEqual(o, &Outcome{Formula: f}) || proof.Len() != 0 {
+			t.Fatalf("stopped run simplified: %+v, clauses %v, trace %q", o, o.Formula.Clauses, proof.String())
+		}
+		if elapsed < 0 || remaining < time.Millisecond || remaining > time.Second {
+			t.Fatalf("elapsed=%v remaining=%v", elapsed, remaining)
+		}
+		want := dpll.Solve(f).Sat
+		s := core.New(core.DefaultOptions())
+		s.SetProofWriter(&proof)
+		s.AddFormula(o.Formula)
+		r := s.Solve()
+		if (r.Status == core.StatusSat) != want {
+			t.Fatalf("%v: solves to %v, dpll sat=%v", f.Clauses, r.Status, want)
+		}
+		if want {
+			if !cnf.Assignment(o.Extend(r.Model)).Satisfies(f) {
+				t.Fatalf("%v: model does not extend", f.Clauses)
+			}
+			continue
+		}
+		if res, err := drup.Check(f, &proof); err != nil || !res.EmptyDerived {
+			t.Fatalf("%v: trace does not refute the formula: %v %+v", f.Clauses, err, res)
+		}
 	}
-	// Unlimited budget passes through untouched.
-	if _, _, rem := Run(f, DefaultOptions(), 0, nil); rem != 0 {
+	if _, _, rem := Run(sat, DefaultOptions(), 0, nil); rem != 0 {
 		t.Fatalf("unlimited budget rewritten to %v", rem)
 	}
 }

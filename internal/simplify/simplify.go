@@ -21,33 +21,11 @@ import (
 	"berkmin/internal/drup"
 )
 
-// Options bounds the preprocessing effort.
+// Options configures what preprocessing reports besides its outcome. The
+// passes and their bounds are fixed (maxRounds, maxSubsumeOcc,
+// maxOccurrences); Run's budget and stop hook are the only way to cut
+// preprocessing short.
 type Options struct {
-	// Subsume enables subsumption and self-subsuming resolution.
-	Subsume bool
-	// EliminateVars enables bounded variable elimination.
-	EliminateVars bool
-	// MaxGrowth is the largest allowed increase in clause count when
-	// eliminating one variable (0 = never grow, NiVER-style).
-	MaxGrowth int
-	// MaxOccurrences skips elimination of variables occurring more often
-	// than this (cost control; 0 means a default of 16).
-	MaxOccurrences int
-	// MaxRounds bounds the simplification fixpoint loop (0 = default 5).
-	MaxRounds int
-	// MaxSubsumeOcc bounds the occurrence-list length scanned per
-	// candidate during subsumption and strengthening, keeping a pass
-	// near-linear even when huge formulas share literals across most
-	// clauses (0 = default 1000).
-	MaxSubsumeOcc int
-	// Deadline, when non-zero, stops simplification at the next pass
-	// boundary once the wall clock passes it. Stop, when non-nil, is
-	// polled periodically and stops simplification when it returns true
-	// (the solver front-end wires it to Interrupt). Either way the
-	// partially simplified outcome is equisatisfiable and fully usable —
-	// simplification is cut short, never corrupted.
-	Deadline time.Time
-	Stop     func() bool
 	// Proof, when non-nil, receives a DRUP trace of every simplification
 	// step: derived units, strengthened clauses and resolvents as
 	// additions; subsumed, strengthened and satisfied clauses as
@@ -63,10 +41,8 @@ type Options struct {
 	Proof io.Writer
 }
 
-// DefaultOptions enables everything with conservative bounds.
-func DefaultOptions() Options {
-	return Options{Subsume: true, EliminateVars: true, MaxGrowth: 0, MaxOccurrences: 16, MaxRounds: 5}
-}
+// DefaultOptions returns the zero Options: no proof trace.
+func DefaultOptions() Options { return Options{} }
 
 // Elim records one eliminated variable and the original clauses it
 // occurred in, for model reconstruction.
@@ -82,8 +58,6 @@ type Outcome struct {
 	Formula *cnf.Formula
 	// Unsat is true when preprocessing alone refuted the formula.
 	Unsat bool
-	// Units are the literals fixed by preprocessing.
-	Units []cnf.Lit
 	// Elims holds eliminated variables in elimination order.
 	Elims []Elim
 
@@ -102,7 +76,6 @@ type workClause struct {
 }
 
 type simplifier struct {
-	opt     Options
 	nVars   int
 	clauses []*workClause
 	occ     [][]*workClause // per literal
@@ -116,10 +89,12 @@ type simplifier struct {
 	// and reports UNSAT.
 	contradiction bool
 
-	// Budget state: aborted is set once the deadline passes or Stop fires;
-	// polls rate-limits the wall-clock reads.
-	aborted bool
-	polls   uint
+	// Budget state (Run): aborted is set once the deadline passes or the
+	// stop hook fires; polls rate-limits the checks.
+	deadline time.Time
+	stop     func() bool
+	aborted  bool
+	polls    uint
 
 	lineBuf []byte // reusable DRUP line buffer (drup.AppendLine)
 
@@ -132,21 +107,17 @@ type simplifier struct {
 	mark   []bool
 }
 
-// outOfBudget polls the configured deadline/stop hook (rate-limited: the
-// wall clock is read every 2048th call). Once it fires, every pass winds
-// down at its next boundary and the current state is emitted as-is.
+// outOfBudget polls the deadline and stop hook on its first call and on
+// every 2048th after it. Once either fires, every pass winds down at its
+// next boundary and the current state is emitted as-is.
 func (s *simplifier) outOfBudget() bool {
 	if s.aborted {
 		return true
 	}
-	if s.polls++; s.polls&0x7FF != 0 {
+	if s.polls++; s.polls&0x7FF != 1 {
 		return false
 	}
-	if s.opt.Stop != nil && s.opt.Stop() {
-		s.aborted = true
-	} else if !s.opt.Deadline.IsZero() && time.Now().After(s.opt.Deadline) {
-		s.aborted = true
-	}
+	s.aborted = s.stop != nil && s.stop() || !s.deadline.IsZero() && time.Now().After(s.deadline)
 	return s.aborted
 }
 
@@ -179,28 +150,34 @@ func (s *simplifier) proofEmpty() {
 	}
 }
 
-// Run executes Simplify under an end-to-end wall-clock budget — the one
-// shared implementation of "bound preprocessing, deduct what it used" for
-// its callers, the front-end berkmin.Solver and portfolio.SolveContext.
-// When budget > 0, a deadline is installed (unless the caller set one)
-// and the remaining budget is returned with the elapsed time deducted,
-// clamped to 1ms so the follow-on search still times out promptly rather
-// than running unbounded. A budget of 0 means unlimited and is returned
-// unchanged. stop, when non-nil, is OR-composed with any caller-supplied
-// Options.Stop (so a solver Interrupt always cancels preprocessing).
+// Run preprocesses f under an end-to-end wall-clock budget and a stop hook
+// — the one way to bound preprocessing, shared by its callers, the
+// front-end berkmin.Solver and portfolio.SolveContext. When budget > 0,
+// preprocessing stops once it has run that long, and the remaining budget
+// is returned with the elapsed time deducted, clamped to 1ms so the
+// follow-on search still times out promptly rather than running
+// unbounded. A budget of 0 means unlimited and is returned unchanged.
+// stop, when non-nil, is polled alongside the clock (the solver front end
+// wires it to Interrupt).
+//
+// A stopped run is cut short, never corrupted: the outcome is
+// equisatisfiable and fully usable. A stop seen before the first pass
+// returns the input untouched, with nothing written to opt.Proof.
 func Run(f *cnf.Formula, opt Options, budget time.Duration, stop func() bool) (o *Outcome, elapsed, remaining time.Duration) {
 	start := time.Now()
-	if opt.Deadline.IsZero() && budget > 0 {
-		opt.Deadline = start.Add(budget)
+	s := &simplifier{
+		nVars:  f.NumVars,
+		occ:    make([][]*workClause, 2*f.NumVars+2),
+		mark:   make([]bool, 2*f.NumVars+2),
+		assign: make([]int8, f.NumVars+1),
+		out:    &Outcome{},
+		proof:  opt.Proof,
+		stop:   stop,
 	}
-	if stop != nil {
-		if user := opt.Stop; user != nil {
-			opt.Stop = func() bool { return user() || stop() }
-		} else {
-			opt.Stop = stop
-		}
+	if budget > 0 {
+		s.deadline = start.Add(budget)
 	}
-	o = Simplify(f, opt)
+	o = s.run(f)
 	elapsed = time.Since(start)
 	remaining = budget
 	if budget > 0 {
@@ -211,27 +188,21 @@ func Run(f *cnf.Formula, opt Options, budget time.Duration, stop func() bool) (o
 	return o, elapsed, remaining
 }
 
-// Simplify preprocesses the formula. The input is not modified.
+// Simplify preprocesses the formula without a budget. The input is not
+// modified.
 func Simplify(f *cnf.Formula, opt Options) *Outcome {
-	if opt.MaxOccurrences <= 0 {
-		opt.MaxOccurrences = 16
-	}
-	if opt.MaxRounds <= 0 {
-		opt.MaxRounds = 5
-	}
-	if opt.MaxSubsumeOcc <= 0 {
-		opt.MaxSubsumeOcc = 1000
-	}
-	s := &simplifier{
-		opt:    opt,
-		nVars:  f.NumVars,
-		occ:    make([][]*workClause, 2*f.NumVars+2),
-		mark:   make([]bool, 2*f.NumVars+2),
-		assign: make([]int8, f.NumVars+1),
-		out:    &Outcome{},
-		proof:  opt.Proof,
-	}
+	o, _, _ := Run(f, opt, 0, nil)
+	return o
+}
+
+// maxRounds bounds the simplification fixpoint loop.
+const maxRounds = 5
+
+func (s *simplifier) run(f *cnf.Formula) *Outcome {
 	for _, c := range f.Clauses {
+		if s.outOfBudget() {
+			return untouched(f)
+		}
 		norm, taut := c.Clone().Normalize()
 		if taut {
 			s.out.RemovedTautologies++
@@ -246,22 +217,25 @@ func Simplify(f *cnf.Formula, opt Options) *Outcome {
 		}
 		s.addClause(norm)
 	}
+	// The last poll before anything reaches the trace. The initial
+	// propagation then runs to completion: it is linear in the formula
+	// and far cheaper than loading, and a stop inside it could return
+	// neither the untouched input (its unit lines are already logged) nor
+	// the partial state (input units still queued are in no clause).
+	if s.outOfBudget() {
+		return untouched(f)
+	}
 	if !s.propagate() {
 		return s.finishUnsat(f.NumVars)
 	}
-	for round := 0; round < opt.MaxRounds && !s.aborted; round++ {
-		changed := false
-		if opt.Subsume {
-			changed = s.subsumptionPass() || changed
-			if s.contradiction || !s.propagate() {
-				return s.finishUnsat(f.NumVars)
-			}
+	for round := 0; round < maxRounds && !s.aborted; round++ {
+		changed := s.subsumptionPass()
+		if s.contradiction || !s.propagate() {
+			return s.finishUnsat(f.NumVars)
 		}
-		if opt.EliminateVars {
-			changed = s.eliminationPass() || changed
-			if s.contradiction || !s.propagate() {
-				return s.finishUnsat(f.NumVars)
-			}
+		changed = s.eliminationPass() || changed
+		if s.contradiction || !s.propagate() {
+			return s.finishUnsat(f.NumVars)
 		}
 		if !changed {
 			break
@@ -285,15 +259,19 @@ func Simplify(f *cnf.Formula, opt Options) *Outcome {
 	for v := cnf.Var(1); int(v) <= f.NumVars; v++ {
 		switch s.assign[v] {
 		case 1:
-			s.out.Units = append(s.out.Units, cnf.PosLit(v))
 			out.Add(cnf.Clause{cnf.PosLit(v)})
 		case -1:
-			s.out.Units = append(s.out.Units, cnf.NegLit(v))
 			out.Add(cnf.Clause{cnf.NegLit(v)})
 		}
 	}
 	s.out.Formula = out
 	return s.out
+}
+
+// untouched is the outcome of a run stopped before its first pass: the
+// input's clauses as they are, with no statistics and no eliminations.
+func untouched(f *cnf.Formula) *Outcome {
+	return &Outcome{Formula: &cnf.Formula{NumVars: f.NumVars, Clauses: slices.Clone(f.Clauses)}}
 }
 
 func (s *simplifier) finishUnsat(nVars int) *Outcome {
@@ -391,6 +369,11 @@ func (s *simplifier) propagate() bool {
 	return true
 }
 
+// maxSubsumeOcc bounds the occurrence-list length scanned per candidate
+// during subsumption and strengthening, keeping a pass near-linear even
+// when huge formulas share literals across most clauses.
+const maxSubsumeOcc = 1000
+
 // subsumptionPass removes subsumed clauses and applies self-subsuming
 // resolution. Returns whether anything changed.
 func (s *simplifier) subsumptionPass() bool {
@@ -417,7 +400,7 @@ func (s *simplifier) subsumptionPass() bool {
 				best = l
 			}
 		}
-		if len(s.occ[best]) <= s.opt.MaxSubsumeOcc {
+		if len(s.occ[best]) <= maxSubsumeOcc {
 			for _, d := range s.occ[best] {
 				if d == c || d.deleted || len(d.lits) < len(c.lits) {
 					continue
@@ -437,7 +420,7 @@ func (s *simplifier) subsumptionPass() bool {
 		// drop ¬l.
 		for _, l := range c.lits {
 			neg := l.Not()
-			if len(s.occ[neg]) > s.opt.MaxSubsumeOcc {
+			if len(s.occ[neg]) > maxSubsumeOcc {
 				continue
 			}
 			negSig := c.sig &^ (1 << (uint(l) % 64))
@@ -493,8 +476,14 @@ func (s *simplifier) strengthen(c *workClause, l cnf.Lit) {
 	c.sig = cnf.Clause(out).Signature()
 }
 
-// eliminationPass applies bounded variable elimination. Returns whether
-// anything changed.
+// maxOccurrences skips the elimination of variables with more live
+// occurrences than this (cost control; pure literals are exempt).
+const maxOccurrences = 16
+
+// eliminationPass applies bounded variable elimination: a variable goes
+// when its non-tautological resolvents number no more than its
+// occurrences, so elimination never grows the clause count. Returns
+// whether anything changed.
 func (s *simplifier) eliminationPass() bool {
 	changed := false
 	for v := cnf.Var(1); int(v) <= s.nVars; v++ {
@@ -518,7 +507,7 @@ func (s *simplifier) eliminationPass() bool {
 		nPos := len(s.occBuf)
 		s.occBuf = s.appendLiveOcc(s.occBuf, cnf.NegLit(v))
 		pure := nPos == 0 || nPos == len(s.occBuf)
-		if len(s.occBuf) == 0 || !pure && len(s.occBuf) > s.opt.MaxOccurrences {
+		if len(s.occBuf) == 0 || !pure && len(s.occBuf) > maxOccurrences {
 			continue
 		}
 		cur := s.currentOcc()
@@ -552,7 +541,7 @@ func (s *simplifier) eliminationPass() bool {
 				}
 			}
 		}
-		if postpone || !s.resolventsWithin(curPos, curNeg, v, len(s.occBuf)+s.opt.MaxGrowth) {
+		if postpone || !s.resolventsWithin(curPos, curNeg, v, len(s.occBuf)) {
 			continue
 		}
 		var resolvents []cnf.Clause

@@ -17,7 +17,7 @@ func TestViewIndependentRestores(t *testing.T) {
 	f.AddClause(1, 2)
 	f.AddClause(-2, 3)
 	f.AddClause(3, -4)
-	o := Simplify(f, Options{EliminateVars: true, MaxOccurrences: 16, MaxRounds: 3})
+	o := Simplify(f, DefaultOptions())
 	if o.Unsat || len(o.Elims) < 2 {
 		t.Fatalf("want >= 2 eliminations, got %d (unsat=%v)", len(o.Elims), o.Unsat)
 	}
@@ -70,7 +70,7 @@ func TestViewCloneAndConcurrentExtend(t *testing.T) {
 	f.AddClause(1, 2)
 	f.AddClause(-2, 3)
 	f.AddClause(3, -4)
-	o := Simplify(f, Options{EliminateVars: true, MaxOccurrences: 16, MaxRounds: 3})
+	o := Simplify(f, DefaultOptions())
 	if o.Unsat || len(o.Elims) == 0 {
 		t.Fatalf("want eliminations, got %d (unsat=%v)", len(o.Elims), o.Unsat)
 	}

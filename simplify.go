@@ -4,15 +4,16 @@ import (
 	"berkmin/internal/simplify"
 )
 
-// SimplifyOptions bounds the preprocessor's effort.
+// SimplifyOptions configures the preprocessor's proof trace (Proof). The
+// passes and their bounds are fixed; to SetSimplify the value is only an
+// on switch, since the solver supplies the trace from SetProofWriter.
 type SimplifyOptions = simplify.Options
 
 // SimplifyOutcome is a preprocessing result; solve Outcome.Formula and
 // reconstruct a model of the original with Outcome.Extend.
 type SimplifyOutcome = simplify.Outcome
 
-// DefaultSimplifyOptions enables subsumption, self-subsuming resolution
-// and bounded variable elimination with conservative bounds.
+// DefaultSimplifyOptions returns the zero SimplifyOptions: no proof trace.
 var DefaultSimplifyOptions = simplify.DefaultOptions
 
 // Simplify preprocesses a CNF: unit propagation, tautology removal,

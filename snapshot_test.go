@@ -175,7 +175,7 @@ func TestSnapshotAssumeEliminatedVar(t *testing.T) {
 	f.AddClause(-2, 3)
 	f.AddClause(3, -4)
 	src := New()
-	so := SimplifyOptions{EliminateVars: true, MaxOccurrences: 16, MaxRounds: 3}
+	so := DefaultSimplifyOptions()
 	src.SetSimplify(&so)
 	src.AddFormula(f)
 	sn := src.Snapshot()
