@@ -103,7 +103,7 @@ func BenchmarkAblationRestart(b *testing.B) {
 		set  func(*core.Options)
 	}{
 		{"fixed550", func(o *core.Options) { o.Restart = core.RestartFixed; o.RestartFirst = 550 }},
-		{"geometric", func(o *core.Options) { o.Restart = core.RestartGeometric; o.RestartFirst = 100; o.RestartFactor = 1.5 }},
+		{"geometric", func(o *core.Options) { o.Restart = core.RestartGeometric; o.RestartFirst = 100 }},
 		{"luby", func(o *core.Options) { o.Restart = core.RestartLuby; o.RestartFirst = 64 }},
 		{"never", func(o *core.Options) { o.Restart = core.RestartNever }},
 	} {

@@ -384,7 +384,6 @@ type StopReason = core.StopReason
 const (
 	StopNone        = core.StopNone
 	StopConflicts   = core.StopConflicts
-	StopDecisions   = core.StopDecisions
 	StopTime        = core.StopTime
 	StopInterrupted = core.StopInterrupted
 )
@@ -462,12 +461,9 @@ type CubeOptions struct {
 	// Jobs is the number of conquer workers (<= 0: GOMAXPROCS).
 	Jobs int
 	// MaxCubes bounds how many cubes the lookahead cuber produces
-	// (0: a few hundred); MaxDepth bounds the split depth (0: default).
+	// (0: a few hundred). No cube is longer than ⌈log2 MaxCubes⌉
+	// literals.
 	MaxCubes int
-	MaxDepth int
-	// ShareMaxGlue caps the glue of clauses exchanged between workers
-	// (0: default 4, negative: disable the glue route).
-	ShareMaxGlue int
 	// Config configures the (homogeneous) conquer workers; the zero
 	// value means DefaultOptions. Workers differ only in seed — the
 	// cuber has already diversified the work itself.

@@ -77,8 +77,6 @@ func run() int {
 		cubeMode     = flag.Bool("cube", false, "solve by cube-and-conquer: a lookahead cuber splits the instance into many cubes, work-stealing workers conquer them in parallel")
 		cubeJobs     = flag.Int("cube-jobs", 0, "conquer workers for -cube (0 = GOMAXPROCS)")
 		cubeMax      = flag.Int("cube-max", 0, "bound on the number of cubes for -cube (0 = default)")
-		cubeDepth    = flag.Int("cube-depth", 0, "bound on the split depth for -cube (0 = default)")
-		cubeGlue     = flag.Int("cube-share-glue", 0, "glue cap for clauses shared between conquer workers (0 = default, negative disables)")
 		noModel      = flag.Bool("no-model", false, "suppress the v-lines on SAT")
 		showStats    = flag.Bool("stats", false, "print search statistics to stderr")
 		proofPath    = flag.String("proof", "", "write a DRUP proof to this file")
@@ -137,14 +135,12 @@ func run() int {
 			return 1
 		}
 		copt := berkmin.CubeOptions{
-			Jobs:         *cubeJobs,
-			MaxCubes:     *cubeMax,
-			MaxDepth:     *cubeDepth,
-			ShareMaxGlue: *cubeGlue,
-			Config:       opt,
-			MaxTime:      *timeout,
-			Seed:         *seed,
-			Simplify:     *preprocess,
+			Jobs:     *cubeJobs,
+			MaxCubes: *cubeMax,
+			Config:   opt,
+			MaxTime:  *timeout,
+			Seed:     *seed,
+			Simplify: *preprocess,
 		}
 		if *proofPath != "" {
 			pf, err := os.Create(*proofPath)

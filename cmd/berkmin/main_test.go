@@ -5,8 +5,8 @@ import "testing"
 func TestConfigByNameCoversEveryConfiguration(t *testing.T) {
 	names := []string{
 		"berkmin", "less-sensitivity", "less-mobility", "limited-keeping",
-		"chaff", "limmat", "sat-top", "unsat-top", "take-0", "take-1",
-		"take-rand",
+		"chaff", "limmat", "tiered", "evsids", "lrb", "modern", "sat-top",
+		"unsat-top", "take-0", "take-1", "take-rand",
 	}
 	for _, n := range names {
 		if _, ok := configByName(n); !ok {

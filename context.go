@@ -14,9 +14,12 @@ import (
 // cancellation-aware counterparts of Solve and SolveAssuming: the context's
 // deadline and cancellation are mapped onto the solver's Interrupt
 // mechanism (the same plumbing Interrupt exposes directly), and are honored
-// during preprocessing as well as search — a SetSimplify pass stops at its
-// next pass boundary when the context fires. Plain Solve/SolveAssuming
-// remain fully supported; nothing is deprecated.
+// during preprocessing as well as search. Preprocessing (SetSimplify) polls
+// for the fired context on its first budget check and on every 2048th
+// after it, checking once per clause while loading; the initial
+// propagation always runs to completion. Once the poll sees the context
+// fired, preprocessing winds down with an equisatisfiable formula. Plain
+// Solve/SolveAssuming remain fully supported; nothing is deprecated.
 //
 // The returned error classifies a StatusUnknown result: nil for a
 // definitive answer, ErrDeadline / ErrCanceled when the context fired,
@@ -82,7 +85,7 @@ func (s *Solver) runWithContext(ctx context.Context, search func() Result) (Resu
 // the public sentinel errors.
 func stopError(stop StopReason, ctx context.Context) error {
 	switch stop {
-	case StopConflicts, StopDecisions, StopTime:
+	case StopConflicts, StopTime:
 		return ErrBudgetExhausted
 	case StopInterrupted:
 		if ctx != nil {
@@ -105,32 +108,31 @@ func ctxSentinel(err error) error {
 }
 
 // SolveParallelContext is SolveParallel with context cancellation: when ctx
-// fires, preprocessing stops at its next pass boundary, every portfolio
-// member is interrupted, and the call returns promptly with the matching
-// sentinel error. The error contract is the same as SolveContext's.
+// fires, preprocessing stops at its next poll (see the package comment
+// above), every portfolio member is interrupted, and the call returns
+// promptly with the matching sentinel error. The error contract is the
+// same as SolveContext's.
 func SolveParallelContext(ctx context.Context, f *Formula, opt ParallelOptions) (ParallelResult, error) {
 	return engineSolver(f, opt.MaxTime, opt.Simplify, nil).solveParallel(ctx, opt)
 }
 
 // SolveCubesContext is SolveCubes with context cancellation: when ctx
-// fires, preprocessing stops at its next pass boundary, the cuber at its
-// next node, every conquer worker is interrupted, and the call returns
-// promptly with the matching sentinel error. The error contract is the
-// same as SolveContext's.
+// fires, preprocessing stops at its next poll (see the package comment
+// above), the cuber at its next node, every conquer worker is
+// interrupted, and the call returns promptly with the matching sentinel
+// error. The error contract is the same as SolveContext's.
 func SolveCubesContext(ctx context.Context, f *Formula, opt CubeOptions) (CubeResult, error) {
 	s := engineSolver(f, opt.MaxTime, opt.Simplify, opt.Proof)
 	var cr cube.Result
 	r, err := s.solveEngine(ctx, opt.MaxTime, func(maxTime time.Duration) Result {
 		// The front end's core becomes conquer worker 0.
 		cr = cube.SolveContext(ctx, s.core, cube.Options{
-			Jobs:         opt.Jobs,
-			MaxCubes:     opt.MaxCubes,
-			MaxDepth:     opt.MaxDepth,
-			ShareMaxGlue: opt.ShareMaxGlue,
-			Conquer:      opt.Config,
-			MaxTime:      maxTime,
-			BaseSeed:     opt.Seed,
-			Proof:        opt.Proof,
+			Jobs:     opt.Jobs,
+			MaxCubes: opt.MaxCubes,
+			Conquer:  opt.Config,
+			MaxTime:  maxTime,
+			BaseSeed: opt.Seed,
+			Proof:    opt.Proof,
 		})
 		return Result{Status: cr.Status, Stop: cr.Stop, Model: cr.Model, Stats: Stats{
 			Conflicts:       cr.Conflicts,

@@ -19,8 +19,8 @@ var (
 	ErrSolverDead = errors.New("berkmin: formula is already unsatisfiable")
 
 	// ErrBudgetExhausted: the solve stopped on one of the solver's own
-	// configured resource budgets (Options.MaxConflicts, MaxDecisions or
-	// MaxTime) before reaching an answer.
+	// configured resource budgets (Options.MaxConflicts or MaxTime) before
+	// reaching an answer.
 	ErrBudgetExhausted = errors.New("berkmin: resource budget exhausted")
 
 	// ErrDeadline: the solve stopped because the context's deadline

@@ -84,11 +84,7 @@ func AblationRestart(sc Scale, lim Limits) *Report {
 	cfgs := []Config{
 		mk("fixed550", func(o *core.Options) {}),
 		mk("fixed100", func(o *core.Options) { o.RestartFirst = 100; o.RestartJitter = 10 }),
-		mk("geometric", func(o *core.Options) {
-			o.Restart = core.RestartGeometric
-			o.RestartFirst = 100
-			o.RestartFactor = 1.5
-		}),
+		mk("geometric", func(o *core.Options) { o.Restart = core.RestartGeometric; o.RestartFirst = 100 }),
 		mk("luby64", func(o *core.Options) { o.Restart = core.RestartLuby; o.RestartFirst = 64 }),
 		mk("never", func(o *core.Options) { o.Restart = core.RestartNever }),
 	}

@@ -7,15 +7,6 @@ import (
 	"berkmin/internal/core"
 )
 
-// ShareMaxLen is the length cap for exchanged learnt clauses: short
-// clauses prune the most and cost the least to integrate.
-const ShareMaxLen = 8
-
-// DefaultShareMaxGlue is the default glue cap: a long clause whose
-// literals span few decision levels propagates like a short one, so it is
-// worth exchanging even past the length cap.
-const DefaultShareMaxGlue = 4
-
 // Hub fans exported clauses out to every other member, deduplicating so a
 // clause learnt by several solvers is not re-broadcast endlessly. The
 // dedup memory is bounded: past maxSeen entries the set is reset, trading
@@ -38,22 +29,19 @@ func newHub(solvers []*core.Solver) *Hub {
 	return &Hub{seen: make(map[uint64]struct{}, 1024), solvers: solvers}
 }
 
-// Share wires clause sharing between the members: each exports learnt
-// clauses of length at most ShareMaxLen — or of glue at most maxGlue,
-// unless maxGlue is negative — through one Hub, which it returns. Fewer
-// than two members have nobody to share with, and Share returns nil.
-func Share(solvers []*core.Solver, maxGlue int) *Hub {
+// Share wires clause sharing between the members: each exports the learnt
+// clauses that pass the core's export filter (short or low-glue) through
+// one Hub, which it returns. Fewer than two members have nobody to share
+// with, and Share returns nil.
+func Share(solvers []*core.Solver) *Hub {
 	if len(solvers) < 2 {
 		return nil
 	}
 	h := newHub(solvers)
 	for i, s := range solvers {
-		s.SetLearntExport(ShareMaxLen, func(lits []cnf.Lit, glue int) {
+		s.SetLearntExport(func(lits []cnf.Lit, glue int) {
 			h.Publish(i, lits, glue)
 		})
-		if maxGlue > 0 {
-			s.SetLearntExportGlue(maxGlue)
-		}
 	}
 	return h
 }

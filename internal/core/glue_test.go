@@ -147,9 +147,10 @@ func TestGlueNeverWorsens(t *testing.T) {
 	}
 }
 
-// TestExportByGlue checks glue-based sharing: a long, low-glue clause
-// passes the export filter once a glue cap is set, and the glue travels to
-// the hook.
+// TestExportByGlue checks the export filter at its constants: a clause
+// longer than shareMaxLen is exported only when its glue is at most
+// shareMaxGlue, a clause within the length cap always is, and the glue
+// travels to the hook.
 func TestExportByGlue(t *testing.T) {
 	s := New(DefaultOptions())
 	s.ensureVars(12)
@@ -158,26 +159,21 @@ func TestExportByGlue(t *testing.T) {
 		glue int
 	}
 	var got []export
-	s.SetLearntExport(3, func(lits []cnf.Lit, glue int) {
+	s.SetLearntExport(func(lits []cnf.Lit, glue int) {
 		got = append(got, export{lits, glue})
 	})
-	long := cnf.NewClause(1, 2, 3, 4, 5, 6)
-	s.exportLearnt(long, 2)
-	if len(got) != 0 {
-		t.Fatal("long clause exported without a glue cap")
+	long := cnf.NewClause(1, 2, 3, 4, 5, 6, 7, 8, 9) // shareMaxLen+1 literals
+	s.exportLearnt(long, shareMaxGlue)
+	if len(got) != 1 || got[0].glue != shareMaxGlue || len(got[0].lits) != 9 {
+		t.Fatalf("long low-glue export missing or mangled: %+v", got)
 	}
-	s.SetLearntExportGlue(2)
-	s.exportLearnt(long, 2)
-	if len(got) != 1 || got[0].glue != 2 || len(got[0].lits) != 6 {
-		t.Fatalf("glue-capped export missing or mangled: %+v", got)
-	}
-	s.exportLearnt(cnf.NewClause(7, 8, 9, 10), 5) // fails both filters
+	s.exportLearnt(long, shareMaxGlue+1) // fails both filters
 	if len(got) != 1 {
-		t.Fatal("clause failing both filters was exported")
+		t.Fatal("long high-glue clause was exported")
 	}
-	s.exportLearnt(cnf.NewClause(7, 8), 5) // short: passes the length filter
-	if len(got) != 2 {
-		t.Fatal("short clause not exported")
+	s.exportLearnt(long[:shareMaxLen], shareMaxGlue+1) // passes the length filter
+	if len(got) != 2 || len(got[1].lits) != shareMaxLen {
+		t.Fatal("short high-glue clause not exported")
 	}
 	if s.stats.ExportedClauses != 2 {
 		t.Fatalf("ExportedClauses = %d, want 2", s.stats.ExportedClauses)

@@ -65,14 +65,6 @@ func TestStopReasons(t *testing.T) {
 		t.Fatalf("time budget: stop = %v", r.Stop)
 	}
 
-	o = DefaultOptions()
-	o.MaxDecisions = 3
-	s = New(o)
-	s.AddFormula(pigeonhole(9))
-	if r := s.Solve(); r.Stop != StopDecisions {
-		t.Fatalf("decision budget: stop = %v", r.Stop)
-	}
-
 	s = New(DefaultOptions())
 	s.AddFormula(pigeonhole(5))
 	if r := s.Solve(); r.Status != StatusUnsat || r.Stop != StopNone {
@@ -81,7 +73,7 @@ func TestStopReasons(t *testing.T) {
 }
 
 func TestStopReasonStrings(t *testing.T) {
-	for _, r := range []StopReason{StopNone, StopConflicts, StopDecisions, StopTime, StopInterrupted} {
+	for _, r := range []StopReason{StopNone, StopConflicts, StopTime, StopInterrupted} {
 		if s := r.String(); s == "" || strings.Contains(s, " ") {
 			t.Errorf("StopReason(%d).String() = %q", r, s)
 		}
@@ -89,17 +81,22 @@ func TestStopReasonStrings(t *testing.T) {
 	if StopNone.ResourceLimit() || StopInterrupted.ResourceLimit() {
 		t.Error("none/interrupted are not resource limits")
 	}
-	if !StopConflicts.ResourceLimit() || !StopTime.ResourceLimit() || !StopDecisions.ResourceLimit() {
+	if !StopConflicts.ResourceLimit() || !StopTime.ResourceLimit() {
 		t.Error("budget reasons must be resource limits")
 	}
 }
 
 // TestExportHookSeesShortLearnts: the export hook observes exactly the
-// learnt clauses within the length cap, as fresh copies.
+// learnt clauses that pass the export filter (short or low-glue), as fresh
+// copies.
 func TestExportHookSeesShortLearnts(t *testing.T) {
-	var got [][]cnf.Lit
+	type export struct {
+		lits []cnf.Lit
+		glue int
+	}
+	var got []export
 	s := New(DefaultOptions())
-	s.SetLearntExport(8, func(lits []cnf.Lit, glue int) { got = append(got, lits) })
+	s.SetLearntExport(func(lits []cnf.Lit, glue int) { got = append(got, export{lits, glue}) })
 	s.AddFormula(pigeonhole(6))
 	r := s.Solve()
 	if r.Status != StatusUnsat {
@@ -111,9 +108,9 @@ func TestExportHookSeesShortLearnts(t *testing.T) {
 	if uint64(len(got)) != r.Stats.ExportedClauses {
 		t.Fatalf("hook saw %d clauses, stats say %d", len(got), r.Stats.ExportedClauses)
 	}
-	for _, c := range got {
-		if len(c) == 0 || len(c) > 8 {
-			t.Fatalf("exported clause of length %d escaped the cap", len(c))
+	for _, e := range got {
+		if len(e.lits) == 0 || len(e.lits) > shareMaxLen && e.glue > shareMaxGlue {
+			t.Fatalf("exported clause of length %d, glue %d escaped the filter", len(e.lits), e.glue)
 		}
 	}
 }

@@ -99,7 +99,8 @@ const (
 	// random jitter of ±RestartJitter (the paper calls BerkMin's strategy
 	// "primitive, close to random").
 	RestartFixed RestartPolicy = iota
-	// RestartGeometric multiplies the interval by RestartFactor each time.
+	// RestartGeometric multiplies the interval by geometricFactor (1.5)
+	// each time.
 	RestartGeometric
 	// RestartLuby follows the Luby sequence scaled by RestartFirst.
 	RestartLuby
@@ -126,9 +127,8 @@ type Options struct {
 
 	// Restarts.
 	Restart       RestartPolicy
-	RestartFirst  int     // initial conflict interval
-	RestartFactor float64 // geometric growth factor
-	RestartJitter int     // ± uniform jitter on the interval (fixed policy)
+	RestartFirst  int // initial conflict interval
+	RestartJitter int // ± uniform jitter on the interval (fixed policy)
 
 	// Clause database management. The §8 length and activity limits and
 	// the tier glue bounds are fixed constants (reduce.go).
@@ -174,7 +174,6 @@ type Options struct {
 
 	// Resource limits (0 = unlimited). Exceeding a limit yields StatusUnknown.
 	MaxConflicts uint64
-	MaxDecisions uint64
 	MaxTime      time.Duration
 
 	// Seed for the solver's deterministic PRNG (tie-breaking, Take_rand,
@@ -196,7 +195,6 @@ func DefaultOptions() Options {
 		AgingDivisor:   4,
 		Restart:        RestartFixed,
 		RestartFirst:   550,
-		RestartFactor:  1.0,
 		RestartJitter:  50,
 		Reduce:         ReduceBerkMin,
 		YoungFracNum:   15,
@@ -293,7 +291,6 @@ func LimmatOptions() Options {
 	o.AgingPeriod = 50
 	o.Restart = RestartGeometric
 	o.RestartFirst = 100
-	o.RestartFactor = 1.5
 	o.LimitedKeepLen = 60
 	return o
 }
@@ -351,9 +348,6 @@ func (o *Options) normalize() {
 	}
 	if o.RestartFirst <= 0 {
 		o.RestartFirst = 550
-	}
-	if o.RestartFactor < 1.0 {
-		o.RestartFactor = 1.0
 	}
 	if o.YoungFracNum <= 0 || o.YoungFracDen <= 0 || o.YoungFracNum >= o.YoungFracDen {
 		o.YoungFracNum, o.YoungFracDen = 15, 16

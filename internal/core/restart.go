@@ -71,6 +71,10 @@ func (s *Solver) postponeRestart() bool {
 	return recent < postponeFactor*lifetime
 }
 
+// geometricFactor is the growth of the RestartGeometric interval per
+// restart, the value of the limmat preset.
+const geometricFactor = 1.5
+
 // nextRestartLimit computes the conflict interval until the next restart
 // according to the configured policy, advancing the policy's position in
 // its sequence (geometric growth, Luby index).
@@ -84,7 +88,7 @@ func (s *Solver) nextRestartLimit() int {
 		if limit > 1e9 {
 			limit = 1e9
 		}
-		s.geomLimit = limit * s.opt.RestartFactor
+		s.geomLimit = limit * geometricFactor
 		if s.geomLimit > 1e9 {
 			s.geomLimit = 1e9
 		}

@@ -79,7 +79,6 @@ func TestGeometricRestartGrows(t *testing.T) {
 	o := DefaultOptions()
 	o.Restart = RestartGeometric
 	o.RestartFirst = 100
-	o.RestartFactor = 2.0
 	s := New(o)
 	// New() consumed the first interval; subsequent calls keep growing.
 	a := s.nextRestartLimit()
@@ -88,7 +87,7 @@ func TestGeometricRestartGrows(t *testing.T) {
 	if !(a < b && b < c) {
 		t.Fatalf("intervals not growing: %d %d %d", a, b, c)
 	}
-	if b != 2*a {
+	if b != int(float64(a)*geometricFactor) {
 		t.Fatalf("factor not applied: %d then %d", a, b)
 	}
 }
@@ -117,11 +116,10 @@ func TestGeometricLimitMatchesClosedForm(t *testing.T) {
 	o := DefaultOptions()
 	o.Restart = RestartGeometric
 	o.RestartFirst = 100
-	o.RestartFactor = 1.5
 	s := New(o)
 	limit := 100.0 // New consumed the first interval (100)
 	for i := 1; i < 150; i++ {
-		limit *= 1.5
+		limit *= geometricFactor
 		want := limit
 		if want > 1e9 {
 			want = 1e9

@@ -11,34 +11,28 @@ import "berkmin/internal/cnf"
 // cannot violate the two-watched-literal invariants (after level-0
 // simplification every remaining literal is unassigned).
 
-// SetLearntExport installs a hook that observes every learnt clause of at
-// most maxLen literals, including units — and, when a glue cap is set via
-// SetLearntExportGlue, every clause of glue at most that cap regardless of
-// length (a long low-glue clause prunes like a short one). fn receives the
-// clause's glue alongside a fresh copy of the literals it may retain; fn
-// runs on the solving goroutine, so it must be fast and must not call back
-// into this solver. A nil fn disables exporting.
-func (s *Solver) SetLearntExport(maxLen int, fn func(lits []cnf.Lit, glue int)) {
-	s.exportMaxLen = maxLen
-	s.exportFn = fn
-}
+// The export filter: a learnt clause crosses to other solvers when it has
+// at most shareMaxLen literals (short clauses prune the most and cost the
+// least to integrate) or glue at most shareMaxGlue (a long clause whose
+// literals span few decision levels propagates like a short one).
+const (
+	shareMaxLen  = 8
+	shareMaxGlue = 4
+)
 
-// SetLearntExportGlue widens the export filter: clauses with glue ≤
-// maxGlue are exported even when longer than the SetLearntExport length
-// cap (0 disables the glue route).
-func (s *Solver) SetLearntExportGlue(maxGlue int) { s.exportMaxGlue = maxGlue }
+// SetLearntExport installs a hook that observes every learnt clause that
+// passes the export filter, including units. fn receives the clause's glue
+// alongside a fresh copy of the literals it may retain; fn runs on the
+// solving goroutine, so it must be fast and must not call back into this
+// solver. A nil fn disables exporting.
+func (s *Solver) SetLearntExport(fn func(lits []cnf.Lit, glue int)) { s.exportFn = fn }
 
 // exportLearnt hands a just-learnt clause to the export hook when it
-// passes the length filter or the glue filter. The copy is mandatory:
-// learnt slices are aliased by the live clause, whose literal order is
-// permuted by propagation.
+// passes the export filter. The copy is mandatory: learnt slices are
+// aliased by the live clause, whose literal order is permuted by
+// propagation.
 func (s *Solver) exportLearnt(lits []cnf.Lit, glue int) {
-	if s.exportFn == nil {
-		return
-	}
-	byLen := s.exportMaxLen > 0 && len(lits) <= s.exportMaxLen
-	byGlue := s.exportMaxGlue > 0 && glue <= s.exportMaxGlue
-	if !byLen && !byGlue {
+	if s.exportFn == nil || (len(lits) > shareMaxLen && glue > shareMaxGlue) {
 		return
 	}
 	s.stats.ExportedClauses++

@@ -198,8 +198,6 @@ type Solver struct {
 	importMu      sync.Mutex
 	importQ       []importedClause
 	importPending atomic.Int32
-	exportMaxLen  int
-	exportMaxGlue int
 	exportFn      func(lits []cnf.Lit, glue int)
 
 	sinceTimeCheck uint64
@@ -639,9 +637,6 @@ func (s *Solver) stopRequested() StopReason {
 	}
 	if s.opt.MaxConflicts > 0 && s.stats.Conflicts >= s.opt.MaxConflicts {
 		return StopConflicts
-	}
-	if s.opt.MaxDecisions > 0 && s.stats.Decisions >= s.opt.MaxDecisions {
-		return StopDecisions
 	}
 	if !s.deadline.IsZero() {
 		s.sinceTimeCheck++

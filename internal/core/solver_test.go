@@ -246,7 +246,6 @@ func TestCrossValidateRestartPolicies(t *testing.T) {
 		o := DefaultOptions()
 		o.Restart = pol
 		o.RestartFirst = 4 // force frequent restarts to stress reduceDB
-		o.RestartFactor = 1.3
 		o.RestartJitter = 2
 		crossValidate(t, "restart", o, 150)
 	}
@@ -309,16 +308,6 @@ func TestConflictLimit(t *testing.T) {
 	}
 	if r.Stats.Conflicts < 3 {
 		t.Fatalf("conflicts = %d", r.Stats.Conflicts)
-	}
-}
-
-func TestDecisionLimit(t *testing.T) {
-	o := DefaultOptions()
-	o.MaxDecisions = 2
-	s := New(o)
-	s.AddFormula(pigeonhole(7))
-	if r := s.Solve(); r.Status != StatusUnknown {
-		t.Fatalf("status = %v", r.Status)
 	}
 }
 

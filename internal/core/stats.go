@@ -48,8 +48,6 @@ const (
 	StopNone StopReason = iota
 	// StopConflicts: Options.MaxConflicts was reached.
 	StopConflicts
-	// StopDecisions: Options.MaxDecisions was reached.
-	StopDecisions
 	// StopTime: Options.MaxTime elapsed.
 	StopTime
 	// StopInterrupted: Interrupt was called.
@@ -62,8 +60,6 @@ func (r StopReason) String() string {
 		return "none"
 	case StopConflicts:
 		return "conflict-limit"
-	case StopDecisions:
-		return "decision-limit"
 	case StopTime:
 		return "time-limit"
 	case StopInterrupted:
@@ -74,10 +70,10 @@ func (r StopReason) String() string {
 }
 
 // ResourceLimit reports whether the run stopped because a configured
-// resource budget (conflicts, decisions or time) ran out — as opposed to
+// resource budget (conflicts or time) ran out — as opposed to
 // answering, or being interrupted from outside.
 func (r StopReason) ResourceLimit() bool {
-	return r == StopConflicts || r == StopDecisions || r == StopTime
+	return r == StopConflicts || r == StopTime
 }
 
 // Stats aggregates everything the paper's tables report about a run.

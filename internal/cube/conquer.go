@@ -21,16 +21,6 @@ type Options struct {
 	// MaxCubes bounds the open cubes the cuber produces (0 means
 	// DefaultMaxCubes).
 	MaxCubes int
-	// MaxDepth bounds the split depth (0 means DefaultMaxDepth).
-	MaxDepth int
-	// ShareMaxGlue is the glue cap for clauses exchanged between workers
-	// through the conc hub, on top of the conc.ShareMaxLen length cap: 0
-	// means conc.DefaultShareMaxGlue, negative disables the glue route.
-	// Sharing is off when Proof is set: imported clauses need not be RUP
-	// for the importer's own trace, so proof-logging workers would drop
-	// imports anyway (core.Import's rule) and the stitched proof stays
-	// self-contained.
-	ShareMaxGlue int
 	// Conquer configures the workers (zero value means
 	// core.DefaultOptions()). Workers differ only in Seed; the cuber has
 	// already diversified the work itself.
@@ -319,8 +309,12 @@ func SolveContext(ctx context.Context, master *core.Solver, opt Options) (res Re
 		}
 	}
 
-	if opt.Proof == nil { // see Options.ShareMaxGlue
-		e.hub = conc.Share(e.solvers, opt.ShareMaxGlue)
+	// Workers share learnt clauses through the conc hub unless Proof is
+	// set: imported clauses need not be RUP for the importer's own trace,
+	// so proof-logging workers would drop imports anyway (core.Import's
+	// rule) and the stitched proof stays self-contained.
+	if opt.Proof == nil {
+		e.hub = conc.Share(e.solvers)
 	}
 
 	// Deal the cubes in contiguous blocks: neighbouring cubes share a

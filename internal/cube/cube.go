@@ -23,16 +23,13 @@ import (
 	"time"
 
 	"berkmin/internal/cnf"
-	"berkmin/internal/conc"
 	"berkmin/internal/core"
 )
 
-// Defaults for the cutoff heuristics. MaxCubes bounds the open leaves the
-// cuber may produce; MaxDepth bounds the split depth.
-const (
-	DefaultMaxCubes = 256
-	DefaultMaxDepth = 14
-)
+// DefaultMaxCubes bounds the open leaves the cuber may produce. The split
+// budget halves at each level, so no cube is longer than
+// ⌈log2 MaxCubes⌉ literals.
+const DefaultMaxCubes = 256
 
 // probes is how many candidate variables are probed per split node.
 const probes = 16
@@ -71,7 +68,6 @@ type cuber struct {
 	nVars    int
 	occ      []int32 // static per-literal occurrence counts
 	maxCubes int
-	maxDepth int
 	cancel   func() bool
 	path     []cnf.Lit // cube literals along the current DFS path
 	cubes    [][]cnf.Lit
@@ -90,7 +86,6 @@ func newCuber(s *core.Solver, opt Options, cancel func() bool) *cuber {
 		nVars:    s.NumVars(),
 		occ:      s.LitOccurrences(),
 		maxCubes: opt.MaxCubes,
-		maxDepth: opt.MaxDepth,
 		cancel:   cancel,
 	}
 }
@@ -98,7 +93,7 @@ func newCuber(s *core.Solver, opt Options, cancel func() bool) *cuber {
 // build runs the recursive split and returns the tree root. The solver's
 // trail is restored to level 0 afterwards.
 func (c *cuber) build() *node {
-	root := c.split(c.maxCubes, 0)
+	root := c.split(c.maxCubes)
 	c.s.ProbeRetract(0)
 	return root
 }
@@ -106,9 +101,10 @@ func (c *cuber) build() *node {
 // split decides whether the current node (whose cube is already asserted
 // on the trail) becomes a leaf or splits further. budget is the number of
 // open leaves this subtree may still produce; halving it per child keeps
-// the tree balanced near maxCubes leaves without global coordination.
-func (c *cuber) split(budget, depth int) *node {
-	if budget <= 1 || depth >= c.maxDepth || (c.cancel != nil && c.cancel()) {
+// the tree balanced near maxCubes leaves without global coordination, and
+// bounds its depth by ⌈log2 maxCubes⌉.
+func (c *cuber) split(budget int) *node {
+	if budget <= 1 || (c.cancel != nil && c.cancel()) {
 		return c.openLeaf()
 	}
 	if c.s.TrailLen()*fillDen >= c.nVars*fillNum {
@@ -119,8 +115,8 @@ func (c *cuber) split(budget, depth int) *node {
 		return c.openLeaf()
 	}
 	lb := budget / 2
-	left := c.child(cnf.PosLit(v), lb, depth)
-	right := c.child(cnf.NegLit(v), budget-lb, depth)
+	left := c.child(cnf.PosLit(v), lb)
+	right := c.child(cnf.NegLit(v), budget-lb)
 	return &node{left: left, right: right, leaf: -1}
 }
 
@@ -128,7 +124,7 @@ func (c *cuber) split(budget, depth int) *node {
 // conflict during the assert closes the child as a refuted leaf: unit
 // propagation alone falsifies this cube, so it needs no conquering and
 // its negation is RUP against the problem clauses.
-func (c *cuber) child(l cnf.Lit, budget, depth int) *node {
+func (c *cuber) child(l cnf.Lit, budget int) *node {
 	lvl := c.s.ProbeLevel()
 	c.path = append(c.path, l)
 	_, conflict := c.s.ProbeAssume(l)
@@ -137,7 +133,7 @@ func (c *cuber) child(l cnf.Lit, budget, depth int) *node {
 		c.refuted++
 		n = &node{refuted: true, leaf: -1}
 	} else {
-		n = c.split(budget, depth+1)
+		n = c.split(budget)
 	}
 	n.lit = l
 	c.s.ProbeRetract(lvl)
@@ -225,12 +221,6 @@ func Split(f *cnf.Formula, opt Options) [][]cnf.Lit {
 func (opt Options) withDefaults() Options {
 	if opt.MaxCubes <= 0 {
 		opt.MaxCubes = DefaultMaxCubes
-	}
-	if opt.MaxDepth <= 0 {
-		opt.MaxDepth = DefaultMaxDepth
-	}
-	if opt.ShareMaxGlue == 0 {
-		opt.ShareMaxGlue = conc.DefaultShareMaxGlue
 	}
 	if opt.Conquer == (core.Options{}) {
 		opt.Conquer = core.DefaultOptions()

@@ -3,6 +3,7 @@ package cube
 import (
 	"bytes"
 	"context"
+	"math/bits"
 	"testing"
 	"time"
 
@@ -20,22 +21,29 @@ func conquer(ctx context.Context, f *cnf.Formula, opt Options) Result {
 	return SolveContext(ctx, master, opt)
 }
 
+// TestSplitShape pins the bound that makes a depth cutoff redundant: the
+// split budget halves at each level, so Split returns at most MaxCubes
+// cubes, none longer than ⌈log2 MaxCubes⌉ literals. 24 covers the uneven
+// split of an odd budget.
 func TestSplitShape(t *testing.T) {
 	f := gen.Pigeonhole(7).Formula
-	cubes := Split(f, Options{MaxCubes: 32, MaxDepth: 6})
-	if len(cubes) == 0 || len(cubes) > 32 {
-		t.Fatalf("got %d cubes, want 1..32", len(cubes))
-	}
-	for _, c := range cubes {
-		if len(c) > 6 {
-			t.Fatalf("cube deeper than MaxDepth: %v", c)
+	for _, maxCubes := range []int{8, 24, 32, 256} {
+		maxLen := bits.Len(uint(maxCubes - 1)) // ⌈log2 maxCubes⌉
+		cubes := Split(f, Options{MaxCubes: maxCubes})
+		if len(cubes) == 0 || len(cubes) > maxCubes {
+			t.Fatalf("MaxCubes %d: got %d cubes", maxCubes, len(cubes))
 		}
-		seen := map[cnf.Var]bool{}
-		for _, l := range c {
-			if seen[l.Var()] {
-				t.Fatalf("cube repeats variable %d: %v", l.Var(), c)
+		for _, c := range cubes {
+			if len(c) > maxLen {
+				t.Fatalf("MaxCubes %d: cube of %d literals, want at most %d: %v", maxCubes, len(c), maxLen, c)
 			}
-			seen[l.Var()] = true
+			seen := map[cnf.Var]bool{}
+			for _, l := range c {
+				if seen[l.Var()] {
+					t.Fatalf("cube repeats variable %d: %v", l.Var(), c)
+				}
+				seen[l.Var()] = true
+			}
 		}
 	}
 }

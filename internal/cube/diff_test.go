@@ -69,7 +69,7 @@ func TestCubeDifferentialGenSuite(t *testing.T) {
 	for _, inst := range cases {
 		inst := inst
 		t.Run(inst.Name, func(t *testing.T) {
-			diffCube(t, inst.Formula, Options{Jobs: 3, MaxCubes: 24, MaxDepth: 8})
+			diffCube(t, inst.Formula, Options{Jobs: 3, MaxCubes: 24})
 		})
 	}
 }
@@ -81,7 +81,7 @@ func TestCubeDifferentialRandom(t *testing.T) {
 		clauses := int(float64(vars) * (3.5 + rng.Float64()))
 		inst := gen.RandomKSat(vars, clauses, 3, int64(100+i))
 		t.Run(fmt.Sprintf("r3sat-%d", i), func(t *testing.T) {
-			diffCube(t, inst.Formula, Options{Jobs: 2, MaxCubes: 16, MaxDepth: 6})
+			diffCube(t, inst.Formula, Options{Jobs: 2, MaxCubes: 16})
 		})
 	}
 }
@@ -111,6 +111,6 @@ func FuzzCubeDifferential(f *testing.F) {
 		if len(cur) > 0 {
 			formula.Add(cur)
 		}
-		diffCube(t, formula, Options{Jobs: 2, MaxCubes: 8, MaxDepth: 4})
+		diffCube(t, formula, Options{Jobs: 2, MaxCubes: 8})
 	})
 }

@@ -139,7 +139,6 @@ func geometricOptions() core.Options {
 	o := core.DefaultOptions()
 	o.Restart = core.RestartGeometric
 	o.RestartFirst = 100
-	o.RestartFactor = 1.5
 	return o
 }
 
@@ -174,7 +173,7 @@ func Race(ctx context.Context, master *core.Solver, opt Options) Result {
 		}
 	}
 	defer conc.OnDone(ctx, func() { interruptAll(-1) })()
-	conc.Share(solvers, conc.DefaultShareMaxGlue)
+	conc.Share(solvers)
 
 	type outcome struct {
 		idx int

@@ -18,7 +18,7 @@ import (
 // job contributes its own work exactly once.
 type metrics struct {
 	requests  sync.Map // endpoint label -> *atomic.Uint64
-	solves    [3][5]atomic.Uint64
+	solves    [3][4]atomic.Uint64
 	shed      atomic.Uint64
 	requeues  atomic.Uint64
 	canceled  atomic.Uint64
@@ -34,7 +34,7 @@ type metrics struct {
 }
 
 var statusLabels = [3]string{"unknown", "sat", "unsat"}
-var stopLabels = [5]string{"none", "conflict-limit", "decision-limit", "time-limit", "interrupted"}
+var stopLabels = [4]string{"none", "conflict-limit", "time-limit", "interrupted"}
 
 func (m *metrics) request(endpoint string) {
 	c, ok := m.requests.Load(endpoint)
