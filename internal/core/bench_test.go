@@ -13,7 +13,33 @@ import (
 // at capacity, so the loop must report 0 allocs/op — the CI bench job
 // gates on this (see cmd/benchguard).
 func BenchmarkPropagate(b *testing.B) {
-	s := New(DefaultOptions())
+	runPropagateChain(b, DefaultOptions(), false)
+}
+
+// BenchmarkPropagateDeciders runs BenchmarkPropagate's chain under each
+// decider that keeps a pick heap, plus one onConflict per op before the
+// backtrack, so the heap deciders' backtrack path and LRB's stamping and
+// reward folding are timed. Also gated at 0 allocs/op.
+func BenchmarkPropagateDeciders(b *testing.B) {
+	s3 := DefaultOptions()
+	s3.OptimizedGlobalPick = true
+	for _, tc := range []struct {
+		name string
+		opt  Options
+	}{
+		{"berkmin-s3", s3},
+		{"evsids", EvsidsOptions()},
+		{"lrb", LrbOptions()},
+	} {
+		b.Run(tc.name, func(b *testing.B) { runPropagateChain(b, tc.opt, true) })
+	}
+}
+
+// runPropagateChain times one op: assert the decision that heads a
+// 2000-variable implication chain, propagate it, optionally report a
+// conflict to the decider, and backtrack to level 0.
+func runPropagateChain(b *testing.B, opt Options, conflict bool) {
+	s := New(opt)
 	const n = 2000
 	for i := 1; i < n; i++ {
 		s.AddClause(cnf.NewClause(-i, i+1)) // implication chain
@@ -29,6 +55,9 @@ func BenchmarkPropagate(b *testing.B) {
 		}
 		if len(s.trail) < n {
 			b.Fatalf("chain only propagated %d assignments", len(s.trail))
+		}
+		if conflict {
+			s.dec.onConflict()
 		}
 		s.cancelUntil(0)
 	}

@@ -236,20 +236,22 @@ func TestEvsidsDecayGrowsIncrement(t *testing.T) {
 	}
 }
 
-// TestLrbRewardMechanics drives the assign/unassign lifecycle by hand and
-// checks the EMA reward: participation during the assignment interval,
-// divided by the interval's conflict count, blended at rate alpha.
+// TestLrbRewardMechanics drives the assign/unassign lifecycle by hand
+// (enqueue, then cancelUntil) and checks the EMA reward: participation
+// during the assignment interval, divided by the interval's conflict
+// count, blended at rate alpha.
 func TestLrbRewardMechanics(t *testing.T) {
 	s := New(LrbOptions())
 	s.ensureVars(2)
 	d := s.dec.(*lrbDecider)
 
-	d.onAssign(cnf.PosLit(1))
-	d.onConflict()
+	s.newDecisionLevel()
+	s.enqueue(cnf.PosLit(1), refUndef)
+	d.onConflict() // the first hook after the assignment stamps it
 	d.onConflict()
 	d.participated[1] = 1 // credited by onAntecedent/onLearnt in real runs
 	alpha := d.alpha      // read after the conflicts: alpha anneals per conflict
-	d.onUnassign(1)
+	s.cancelUntil(0)
 	want := (1 - alpha) * 0 // prior activity
 	want += alpha * (1.0 / 2.0)
 	if math.Abs(d.act[1]-want) > 1e-12 {
@@ -258,8 +260,9 @@ func TestLrbRewardMechanics(t *testing.T) {
 
 	// A zero-conflict interval must not divide by zero or change the score.
 	prev := d.act[1]
-	d.onAssign(cnf.PosLit(1))
-	d.onUnassign(1)
+	s.newDecisionLevel()
+	s.enqueue(cnf.PosLit(1), refUndef)
+	s.cancelUntil(0)
 	if d.act[1] != prev {
 		t.Fatalf("act[1] changed across an empty interval: %v -> %v", prev, d.act[1])
 	}
@@ -288,28 +291,42 @@ func TestLrbAlphaAnneals(t *testing.T) {
 	}
 }
 
-// TestLrbHeapTracksUnassigned pins the remove-on-assign discipline the
-// locality decay relies on: the LRB heap holds exactly the unassigned
-// variables at all times.
+// TestLrbHeapTracksUnassigned pins the invariant the locality decay relies
+// on: at every decider hook entry the LRB heap holds exactly the
+// unassigned variables. Assignments reach LRB only at its next hook, so the
+// heap is checked through hooks (onConflict, pick, onBacktrack), never
+// right after enqueue.
 func TestLrbHeapTracksUnassigned(t *testing.T) {
 	s := New(LrbOptions())
 	s.AddClause(cnf.NewClause(1, 2, 3))
 	d := s.dec.(*lrbDecider)
-	if len(d.order.heap) != 3 {
-		t.Fatalf("heap size = %d, want 3", len(d.order.heap))
+	check := func(when string) {
+		t.Helper()
+		for v := cnf.Var(1); v <= 3; v++ {
+			if inHeap, free := d.order.pos[v] != 0, s.assigns[v] == lUndef; inHeap != free {
+				t.Fatalf("%s: var %d in heap = %v, unassigned = %v", when, v, inHeap, free)
+			}
+		}
 	}
+	check("after load")
 	s.newDecisionLevel()
 	s.enqueue(cnf.PosLit(2), refUndef)
-	if len(d.order.heap) != 2 {
-		t.Fatalf("heap size after assign = %d, want 2", len(d.order.heap))
+	d.onConflict()
+	check("onConflict after assigning 2")
+	s.newDecisionLevel()
+	s.enqueue(cnf.NegLit(1), refUndef)
+	if l := d.pick(); l.Var() != 3 {
+		t.Fatalf("pick = %v, want the only free variable 3", l)
 	}
-	if d.order.pos[2] != 0 {
-		t.Fatal("assigned var still in heap")
+	if len(d.order.heap) != 0 {
+		t.Fatalf("heap after picking the last free variable = %v", d.order.heap)
 	}
+	s.newDecisionLevel()
+	s.enqueue(cnf.PosLit(3), refUndef)
+	s.cancelUntil(1)
+	check("backtrack to level 1")
 	s.cancelUntil(0)
-	if len(d.order.heap) != 3 {
-		t.Fatalf("heap size after backtrack = %d, want 3", len(d.order.heap))
-	}
+	check("backtrack to level 0")
 }
 
 // TestDeciderCloneIndependence extends the Clone aliasing guarantees to the
@@ -353,9 +370,7 @@ func TestDeciderCloneIndependence(t *testing.T) {
 		if cd.order.act != &cd.act {
 			t.Fatal("clone's heap must point at the clone's activities")
 		}
-		if !c.decAssign {
-			t.Fatal("clone lost the assign-hook flag")
-		}
+		checkUnstampedClone(t, s, cnf.NegLit(1))
 	})
 }
 
@@ -438,13 +453,46 @@ func TestReconfigureAcrossDeciderFamilies(t *testing.T) {
 	if _, ok := s.dec.(*lrbDecider); !ok {
 		t.Fatalf("decider after Reconfigure(lrb) = %T", s.dec)
 	}
-	if !s.decAssign {
-		t.Fatal("LRB needs the assign hook enabled")
-	}
 	if r := s.Solve(); r.Status != StatusUnsat {
 		t.Fatalf("after Reconfigure(lrb): %v", r.Status)
 	}
 	checkInvariants(t, s)
+
+	// A fresh LRB decider installed mid-stream stamps the trail it inherits;
+	// a unit added after its first search is stamped by its clone exactly as
+	// by itself.
+	live := New(DefaultOptions())
+	live.AddFormula(gen.Pigeonhole(6).Formula)
+	live.opt.MaxConflicts = 100
+	live.Solve()
+	live.Reconfigure(LrbOptions())
+	live.opt.MaxConflicts = live.stats.Conflicts + 100
+	live.Solve()
+	checkUnstampedClone(t, live, cnf.PosLit(8))
+}
+
+// checkUnstampedClone adds the level-0 unit to s, an LRB solver, which
+// stamps it only at its next hook. A clone taken before that hook must run
+// the same capped search as s.
+func checkUnstampedClone(t *testing.T, s *Solver, unit cnf.Lit) {
+	t.Helper()
+	s.AddClause(cnf.Clause{unit})
+	if d := s.dec.(*lrbDecider); d.stamped >= len(s.trail) {
+		t.Fatalf("the unit is already stamped (%d of %d)", d.stamped, len(s.trail))
+	}
+	c := s.Clone()
+	var got [2]Result
+	for i, x := range []*Solver{s, c} {
+		x.opt.MaxConflicts = x.stats.Conflicts + 300
+		got[i] = x.Solve()
+	}
+	o, k := got[0].Stats, got[1].Stats
+	if got[0].Status != got[1].Status || o.Conflicts != k.Conflicts ||
+		o.Decisions != k.Decisions || o.Propagations != k.Propagations {
+		t.Fatalf("clone diverged: original %v %d/%d/%d, clone %v %d/%d/%d",
+			got[0].Status, o.Conflicts, o.Decisions, o.Propagations,
+			got[1].Status, k.Conflicts, k.Decisions, k.Propagations)
+	}
 }
 
 // TestEvsidsReconfigureKeepsIncrement guards a subtle trap: resetting the

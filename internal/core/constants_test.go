@@ -1,9 +1,11 @@
 package core
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
+	"berkmin/internal/cnf"
 	"berkmin/internal/gen"
 )
 
@@ -105,5 +107,102 @@ func TestEngineConstantsGolden(t *testing.T) {
 		seen.postponed == 0 || seen.passes == 0 || seen.subsumed == 0 ||
 		seen.strengthened == 0 || seen.vivified == 0 || seen.rescales == 0 {
 		t.Fatalf("a pinned counter is zero in every row: %+v", seen)
+	}
+}
+
+// streamCounters is one call's cumulative Conflicts, Decisions and
+// Propagations.
+type streamCounters [3]uint64
+
+// runDeciderStream drives hole7 through eight capped SolveAssuming calls
+// that cross every decider hook boundary the one-shot pins never do: a
+// level-0 unit AddClause after call 3, a Clone after call 4 (the stream
+// continues on the clone) and a Reset after call 6. A non-nil reconfigure
+// is applied after call 2. Each call may spend 200 more conflicts.
+func runDeciderStream(opt Options, reconfigure *Options) []streamCounters {
+	assumptions := [][]cnf.Lit{
+		nil,
+		{cnf.PosLit(1)},
+		{cnf.NegLit(1), cnf.PosLit(9)},
+		nil,
+		{cnf.PosLit(2), cnf.NegLit(10)},
+		{cnf.PosLit(17)},
+		nil,
+		{cnf.NegLit(3)},
+	}
+	s := New(opt)
+	s.AddFormula(gen.Pigeonhole(7).Formula)
+	var got []streamCounters
+	for i, as := range assumptions {
+		s.opt.MaxConflicts = s.stats.Conflicts + 200
+		st := s.SolveAssuming(as).Stats
+		got = append(got, streamCounters{st.Conflicts, st.Decisions, st.Propagations})
+		switch i + 1 {
+		case 2:
+			if reconfigure != nil {
+				s.Reconfigure(*reconfigure)
+			}
+		case 3:
+			s.AddClause(cnf.Clause{cnf.PosLit(12)})
+		case 4:
+			s = s.Clone()
+		case 6:
+			s.Reset()
+		}
+	}
+	return got
+}
+
+// TestDeciderStreamGolden pins the search of an incremental stream for
+// every decider family and heap mode. The values were captured while the
+// engine still called the decider once per assignment and once per
+// unassigned variable, so any drift in when a decider observes the trail
+// (assignment stamps, heap operation order) shows here.
+func TestDeciderStreamGolden(t *testing.T) {
+	optimized := func(o Options) Options { o.OptimizedGlobalPick = true; return o }
+	chaff := DefaultOptions()
+	chaff.Decision = DecideChaffLiteral
+	lrbStream := LrbOptions()
+	lrbStream.QueryDecay = 0.7
+	lrbStream.InprocessPeriod = 1
+	// Inprocessing runs at restarts; restart well inside the per-call cap
+	// so vivification's probes backtrack through the decider mid-stream.
+	lrbStream.RestartFirst = 60
+	lrbStream.RestartJitter = 10
+	lrb := LrbOptions()
+	rows := []struct {
+		name        string
+		opt         Options
+		reconfigure *Options
+		want        []streamCounters
+	}{
+		// Each row: after every call, {Conflicts, Decisions, Propagations}.
+		{"berkmin", DefaultOptions(), nil, []streamCounters{
+			{200, 213, 2765}, {400, 422, 5727}, {600, 632, 8729}, {800, 841, 11465},
+			{817, 858, 11636}, {833, 874, 11813}, {200, 206, 3029}, {320, 334, 4779}}},
+		{"berkmin-s3", optimized(DefaultOptions()), nil, []streamCounters{
+			{200, 214, 3006}, {400, 423, 5920}, {600, 632, 8630}, {800, 840, 11238},
+			{852, 903, 12066}, {936, 990, 13050}, {200, 212, 2966}, {347, 369, 5283}}},
+		{"chaff-heap", optimized(chaff), nil, []streamCounters{
+			{200, 234, 2915}, {303, 337, 4663}, {485, 528, 7826}, {685, 731, 10202},
+			{685, 731, 10202}, {688, 734, 10221}, {106, 125, 1419}, {106, 125, 1419}}},
+		{"evsids", EvsidsOptions(), nil, []streamCounters{
+			{200, 245, 3029}, {400, 496, 5794}, {600, 750, 8704}, {800, 990, 11259},
+			{853, 1054, 11936}, {946, 1169, 13173}, {200, 244, 3129}, {400, 476, 6094}}},
+		{"lrb", LrbOptions(), nil, []streamCounters{
+			{200, 234, 3182}, {400, 468, 6230}, {600, 711, 9046}, {800, 953, 11968},
+			{934, 1105, 13811}, {1008, 1193, 14792}, {200, 231, 3228}, {400, 457, 6130}}},
+		{"lrb-stream", lrbStream, nil, []streamCounters{
+			{200, 282, 11067}, {400, 588, 26646}, {600, 863, 42678}, {800, 1117, 57893},
+			{928, 1262, 63668}, {1034, 1377, 69027}, {200, 252, 10403}, {400, 513, 24075}}},
+		{"berkmin-to-lrb", DefaultOptions(), &lrb, []streamCounters{
+			{200, 213, 2765}, {400, 422, 5727}, {600, 666, 8899}, {800, 899, 11671},
+			{849, 956, 12262}, {937, 1057, 13581}, {200, 227, 3318}, {400, 464, 6266}}},
+	}
+	for _, row := range rows {
+		got := runDeciderStream(row.opt, row.reconfigure)
+		if !reflect.DeepEqual(got, row.want) {
+			t.Errorf("%s:\n got %v\nwant %v", row.name, got, row.want)
+		}
 	}
 }

@@ -33,25 +33,28 @@ func newBerkminDecider(s *Solver) *berkminDecider {
 	return d
 }
 
-func (d *berkminDecider) hooksAssigns() bool { return false }
-func (d *berkminDecider) onAssign(cnf.Lit)   {}
-func (d *berkminDecider) onConflict()        {}
+func (d *berkminDecider) onConflict() {}
 
 // chaffHeap reports whether the literal heap is the active pick structure.
 func (d *berkminDecider) chaffHeap() bool {
 	return d.s.opt.Decision == DecideChaffLiteral && d.s.opt.OptimizedGlobalPick
 }
 
-func (d *berkminDecider) onUnassign(v cnf.Var) {
-	if !d.s.opt.OptimizedGlobalPick {
-		return
+// onBacktrack returns the unassigned variables to the active pick heap;
+// the naive scans need no bookkeeping.
+func (d *berkminDecider) onBacktrack(unassigned []cnf.Lit) {
+	switch {
+	case d.chaffHeap():
+		for i := len(unassigned) - 1; i >= 0; i-- {
+			v := unassigned[i].Var()
+			d.litOrder.insert(cnf.PosLit(v))
+			d.litOrder.insert(cnf.NegLit(v))
+		}
+	case d.s.opt.OptimizedGlobalPick:
+		for i := len(unassigned) - 1; i >= 0; i-- {
+			d.order.insert(unassigned[i].Var())
+		}
 	}
-	if d.s.opt.Decision == DecideChaffLiteral {
-		d.litOrder.insert(cnf.PosLit(v))
-		d.litOrder.insert(cnf.NegLit(v))
-		return
-	}
-	d.order.insert(v)
 }
 
 func (d *berkminDecider) onAntecedent(lits []cnf.Lit) {

@@ -18,16 +18,12 @@ type decider interface {
 	// pick returns the next branching literal — variable and polarity — or
 	// cnf.LitUndef when every variable is assigned (a model has been found).
 	pick() cnf.Lit
-	// hooksAssigns reports whether onAssign must be invoked for every
-	// assignment. Only LRB's interval accounting needs the trail walk; the
-	// cached flag (Solver.decAssign) keeps the interface dispatch out of
-	// the BCP hot path for the deciders that don't.
-	hooksAssigns() bool
-	// onAssign observes the assignment making l true (called only when
-	// hooksAssigns reports true).
-	onAssign(l cnf.Lit)
-	// onUnassign observes variable v being unassigned by backtracking.
-	onUnassign(v cnf.Var)
+	// onBacktrack observes cancelUntil unassigning the trail suffix
+	// unassigned, once per backtrack: the variables are already unassigned
+	// and the trail is not yet truncated. Deciders visit the slice from the
+	// top of the trail down. Assignments themselves reach no hook; a
+	// decider that needs them (LRB) reads the trail at its next hook.
+	onBacktrack(unassigned []cnf.Lit)
 	// onConflict is called once per conflict, after analysis and before
 	// backtracking, so interval-based reward accounting sees the conflict
 	// both in the bumps (analysis) and in the unassignments (backtrack).
@@ -77,13 +73,6 @@ func newDecider(s *Solver) decider {
 	}
 }
 
-// installDecider (re)creates the decider for the current options and caches
-// its assignment-hook flag off the BCP hot path.
-func (s *Solver) installDecider() {
-	s.dec = newDecider(s)
-	s.decAssign = s.dec.hooksAssigns()
-}
-
 // sameDeciderFamily reports whether two decision modes are served by the
 // same decider implementation, so Reconfigure can keep heuristic state
 // instead of starting a fresh lifetime.
@@ -99,3 +88,19 @@ func sameDeciderFamily(a, b DecisionMode) bool {
 
 // decide picks the next branching literal through the installed decider.
 func (s *Solver) decide() cnf.Lit { return s.dec.pick() }
+
+// pickFree is the EVSIDS and LRB pick: it pops order, discarding assigned
+// variables, and branches on the first free one with the shared polarity
+// rule (a global decision); cnf.LitUndef once the heap is empty.
+func (s *Solver) pickFree(order *actHeap[cnf.Var, float64]) cnf.Lit {
+	for {
+		v := order.pop()
+		if v == 0 {
+			return cnf.LitUndef
+		}
+		if s.assigns[v] == lUndef {
+			s.stats.GlobalDecisions++
+			return s.nbTwoPolarity(v)
+		}
+	}
+}

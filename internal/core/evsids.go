@@ -36,9 +36,6 @@ func newEvsidsDecider(s *Solver) *evsidsDecider {
 	return d
 }
 
-func (d *evsidsDecider) hooksAssigns() bool { return false }
-func (d *evsidsDecider) onAssign(cnf.Lit)   {}
-
 // decay is a no-op: the exponential decay is folded into the growing
 // increment (onConflict), so Options.AgingPeriod does not apply.
 func (d *evsidsDecider) decay() {}
@@ -103,25 +100,16 @@ func (d *evsidsDecider) onLearnt(lits []cnf.Lit, glue int) {
 	}
 }
 
-func (d *evsidsDecider) onUnassign(v cnf.Var) { d.order.insert(v) }
+func (d *evsidsDecider) onBacktrack(unassigned []cnf.Lit) {
+	for i := len(unassigned) - 1; i >= 0; i-- {
+		d.order.insert(unassigned[i].Var())
+	}
+}
 
 // pick pops the most active variable, lazily discarding entries assigned
 // since insertion (assignments made by BCP or assumptions stay in the heap
 // until popped).
-func (d *evsidsDecider) pick() cnf.Lit {
-	s := d.s
-	for {
-		v := d.order.pop()
-		if v == 0 {
-			return cnf.LitUndef
-		}
-		if s.assigns[v] != lUndef {
-			continue
-		}
-		s.stats.GlobalDecisions++
-		return s.nbTwoPolarity(v)
-	}
-}
+func (d *evsidsDecider) pick() cnf.Lit { return d.s.pickFree(&d.order) }
 
 func (d *evsidsDecider) rebuild(n int) {
 	old := len(d.act) - 1

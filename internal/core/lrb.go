@@ -16,11 +16,11 @@ import "berkmin/internal/cnf"
 // activity of every *unassigned* variable by lrbLocality each conflict, so
 // variables off the current search trajectory fade.
 //
-// This is the one decider that needs the trail walk (hooksAssigns): the
-// interval accounting starts at onAssign. Assigned variables are removed
-// from the pick heap, so the heap holds exactly the unassigned variables —
-// which is also what makes the locality decay a walk over the heap's
-// backing array (uniform scaling of every member keeps the heap valid).
+// This is the one decider that needs assignment times; no hook reports
+// assignments, so each hook first stamps the trail suffix it has not seen.
+// Stamped variables leave the pick heap, so at every hook entry it holds
+// exactly the unassigned variables — which makes the locality decay a walk
+// over its backing array (uniform scaling keeps the heap valid).
 type lrbDecider struct {
 	s            *Solver
 	act          []float64 // per variable: EMA of the learning rate
@@ -28,6 +28,7 @@ type lrbDecider struct {
 	participated []uint32  // per variable: conflicts participated in since assignment
 	alpha        float64   // current EMA step, annealed per conflict
 	conflicts    uint64    // decider-lifetime conflict counter
+	stamped      int       // trail length already stamped: trail[stamped:] is unseen
 	order        actHeap[cnf.Var, float64]
 }
 
@@ -47,8 +48,6 @@ func newLrbDecider(s *Solver) *lrbDecider {
 	return d
 }
 
-func (d *lrbDecider) hooksAssigns() bool { return true }
-
 // decay is a no-op: LRB's decay is the per-conflict alpha anneal and
 // locality fade (onConflict); Options.AgingPeriod does not apply.
 func (d *lrbDecider) decay() {}
@@ -58,6 +57,7 @@ func (d *lrbDecider) decay() {}
 // the new query's conflicts should re-shape the averages quickly, the way
 // a fresh lifetime would, without discarding what transfers.
 func (d *lrbDecider) onNewQuery() {
+	d.stamp()
 	f := d.s.opt.QueryDecay
 	for v := range d.act {
 		d.act[v] *= f
@@ -65,25 +65,41 @@ func (d *lrbDecider) onNewQuery() {
 	d.alpha = lrbAlpha
 }
 
-func (d *lrbDecider) onAssign(l cnf.Lit) {
-	v := l.Var()
-	d.assignedAt[v] = d.conflicts
-	d.participated[v] = 0
-	d.order.remove(v)
+// stamp opens every hook: each assignment made since the previous hook
+// starts its interval and leaves the heap, in trail order. The conflict
+// counter moves only in onConflict, so stamps and heap operations are what
+// they would have been at assignment time.
+func (d *lrbDecider) stamp() {
+	trail := d.s.trail
+	for _, l := range trail[d.stamped:] {
+		v := l.Var()
+		d.assignedAt[v] = d.conflicts
+		d.participated[v] = 0
+		d.order.remove(v)
+	}
+	d.stamped = len(trail)
 }
 
-func (d *lrbDecider) onUnassign(v cnf.Var) {
-	if interval := d.conflicts - d.assignedAt[v]; interval > 0 {
-		reward := float64(d.participated[v]) / float64(interval)
-		d.act[v] = (1-d.alpha)*d.act[v] + d.alpha*reward
+// onBacktrack folds each unassigned variable's interval reward into its
+// average and returns it to the heap.
+func (d *lrbDecider) onBacktrack(unassigned []cnf.Lit) {
+	d.stamp()
+	for i := len(unassigned) - 1; i >= 0; i-- {
+		v := unassigned[i].Var()
+		if interval := d.conflicts - d.assignedAt[v]; interval > 0 {
+			reward := float64(d.participated[v]) / float64(interval)
+			d.act[v] = (1-d.alpha)*d.act[v] + d.alpha*reward
+		}
+		d.order.insert(v)
 	}
-	d.order.insert(v)
+	d.stamped -= len(unassigned)
 }
 
 // onConflict runs after analysis and before backtracking: the counter
 // advances first, so variables unassigned by the coming backtrack see an
 // interval that includes the conflict they just participated in.
 func (d *lrbDecider) onConflict() {
+	d.stamp()
 	d.conflicts++
 	if d.alpha > lrbAlphaMin {
 		d.alpha -= lrbAlphaStep
@@ -99,35 +115,27 @@ func (d *lrbDecider) onConflict() {
 }
 
 func (d *lrbDecider) onAntecedent(lits []cnf.Lit) {
+	d.stamp()
 	for _, q := range lits {
 		d.participated[q.Var()]++
 	}
 }
 
 func (d *lrbDecider) onLearnt(lits []cnf.Lit, glue int) {
+	d.stamp()
 	for _, q := range lits {
 		d.participated[q.Var()]++
 	}
 }
 
-// pick pops the most active unassigned variable. The remove-on-assign
-// discipline makes the heap hold exactly the unassigned variables, so the
-// first pop is the answer; the guard is defensive.
+// pick pops the most active unassigned variable. After stamp the heap
+// holds exactly the unassigned variables, so the first pop is the answer.
 func (d *lrbDecider) pick() cnf.Lit {
-	s := d.s
-	for {
-		v := d.order.pop()
-		if v == 0 {
-			return cnf.LitUndef
-		}
-		if s.assigns[v] != lUndef {
-			continue
-		}
-		s.stats.GlobalDecisions++
-		return s.nbTwoPolarity(v)
-	}
+	d.stamp()
+	return d.s.pickFree(&d.order)
 }
 
+// rebuild stamps once the arrays cover every variable the trail names.
 func (d *lrbDecider) rebuild(n int) {
 	old := len(d.act) - 1
 	if old < 0 {
@@ -138,6 +146,7 @@ func (d *lrbDecider) rebuild(n int) {
 		d.assignedAt = append(d.assignedAt, 0)
 		d.participated = append(d.participated, 0)
 	}
+	d.stamp()
 	for v := cnf.Var(old + 1); int(v) <= n; v++ {
 		if d.s.assigns[v] == lUndef {
 			d.order.insert(v)
@@ -145,10 +154,10 @@ func (d *lrbDecider) rebuild(n int) {
 	}
 }
 
-// rearmHeap rebuilds the pick heap over the unassigned variables only,
-// preserving the remove-on-assign invariant (retained level-0 assignments
-// must stay out).
+// rearmHeap stamps, then rebuilds the pick heap over the unassigned
+// variables only (retained level-0 assignments must stay out).
 func (d *lrbDecider) rearmHeap() {
+	d.stamp()
 	d.order.clear()
 	for v := cnf.Var(1); int(v) <= d.s.nVars; v++ {
 		if d.s.assigns[v] == lUndef {
@@ -183,6 +192,7 @@ func (d *lrbDecider) clone(ns *Solver) decider {
 		participated: append([]uint32(nil), d.participated...),
 		alpha:        d.alpha,
 		conflicts:    d.conflicts,
+		stamped:      d.stamped,
 	}
 	c.order = cloneHeap(&d.order, &c.act)
 	return c

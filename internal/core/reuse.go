@@ -222,7 +222,6 @@ func (s *Solver) Clone() *Solver {
 	// The branching plane carries its own state (activities, heaps, reward
 	// accounting); its clone rebinds every internal pointer to the copy.
 	c.dec = s.dec.clone(c)
-	c.decAssign = s.decAssign
 	return c
 }
 
@@ -258,7 +257,7 @@ func (s *Solver) Reconfigure(opt Options) {
 		// Crossing decider families starts a fresh heuristic lifetime —
 		// activities do not translate between, say, integer BerkMin counters
 		// and LRB's reward averages.
-		s.installDecider()
+		s.dec = newDecider(s)
 		s.dec.rebuild(s.nVars)
 	}
 }

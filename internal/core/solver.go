@@ -131,13 +131,12 @@ type Solver struct {
 	phase []lbool // per variable: last assigned polarity (Options.PhaseSaving)
 
 	// dec is the branching plane (decider.go): variable selection, polarity,
-	// activities and their decay all live behind it. decAssign caches
-	// dec.hooksAssigns() so the BCP hot path pays the interface dispatch
-	// only for deciders that track assignments (LRB). anteBin is the
-	// scratch slice for reporting literal-encoded binary antecedents.
-	dec       decider
-	decAssign bool
-	anteBin   [2]cnf.Lit
+	// activities and their decay all live behind it. It hears of the trail
+	// once per backtrack (onBacktrack), never per assignment, so BCP makes
+	// no decider call. anteBin is the scratch slice for reporting
+	// literal-encoded binary antecedents.
+	dec     decider
+	anteBin [2]cnf.Lit
 
 	seen       []bool    // conflict-analysis scratch, per variable
 	analyzeBuf []cnf.Lit // conflict-analysis scratch
@@ -226,7 +225,7 @@ func New(opt Options) *Solver {
 		rng:          newXorshift(opt.Seed),
 		oldThreshold: oldThresholdInit,
 	}
-	s.installDecider()
+	s.dec = newDecider(s)
 	s.geomLimit = float64(opt.RestartFirst)
 	s.restartLimit = s.nextRestartLimit()
 	s.tieredTarget = tieredFirstReduce
@@ -400,9 +399,6 @@ func (s *Solver) enqueue(l cnf.Lit, from clauseRef) bool {
 	s.vlevel[v] = int32(s.decisionLevel())
 	s.reason[v] = from
 	s.trail = append(s.trail, l)
-	if s.decAssign {
-		s.dec.onAssign(l)
-	}
 	return true
 }
 
@@ -422,9 +418,6 @@ func (s *Solver) enqueueBin(l, from cnf.Lit) {
 	s.reason[v] = refBin
 	s.binReason[v] = from
 	s.trail = append(s.trail, l)
-	if s.decAssign {
-		s.dec.onAssign(l)
-	}
 }
 
 // newDecisionLevel opens a new decision level.
@@ -443,15 +436,16 @@ func (s *Solver) cancelUntil(level int) {
 		return
 	}
 	bound := s.trailLim[level]
-	for i := len(s.trail) - 1; i >= bound; i-- {
-		v := s.trail[i].Var()
-		if s.opt.PhaseSaving && !s.noPhaseSave {
+	savePhase := s.opt.PhaseSaving && !s.noPhaseSave
+	for _, l := range s.trail[bound:] {
+		v := l.Var()
+		if savePhase {
 			s.phase[v] = s.assigns[v]
 		}
 		s.assigns[v] = lUndef
 		s.reason[v] = refUndef
-		s.dec.onUnassign(v)
 	}
+	s.dec.onBacktrack(s.trail[bound:])
 	s.trail = s.trail[:bound]
 	s.trailLim = s.trailLim[:level]
 	if s.qhead > bound {
