@@ -1,7 +1,7 @@
 // Benchmarks regenerating every table of the paper's evaluation at Small
 // scale (so `go test -bench=.` completes quickly). Run
-// `cmd/satbench -scale medium` for the full-size reproduction; the outputs
-// and the paper-vs-measured comparison live in EXPERIMENTS.md.
+// `cmd/satbench -scale medium` for the full-size reproduction: it prints
+// each table with the paper's claim as a note beneath it.
 package berkmin_test
 
 import (

@@ -162,8 +162,13 @@ func run() int {
 	return 0
 }
 
+// parseInputs reads benchmark lines from the files (stdin when none). A
+// benchmark seen more than once (-count > 1, or several packages) gates on
+// the median of its ns/op samples, which one noisy run cannot move, and on
+// its worst allocs/op, so flakiness cannot hide an allocation regression.
 func parseInputs(paths []string) (map[string]measurement, error) {
 	measured := map[string]measurement{}
+	nsSamples := map[string][]float64{}
 	readFrom := func(r io.Reader, name string) error {
 		sc := bufio.NewScanner(r)
 		sc.Buffer(make([]byte, 1<<20), 1<<20)
@@ -175,14 +180,11 @@ func parseInputs(paths []string) (map[string]measurement, error) {
 			ns, _ := strconv.ParseFloat(m[2], 64)
 			bytes, _ := strconv.ParseFloat(m[3], 64)
 			allocs, _ := strconv.ParseFloat(m[4], 64)
-			if prev, dup := measured[m[1]]; dup {
-				// -count>1 or multiple packages: keep the worst allocs/op
-				// so flakiness cannot hide a regression.
-				if prev.AllocsPerOp >= allocs {
-					continue
-				}
+			nsSamples[m[1]] = append(nsSamples[m[1]], ns)
+			if prev, dup := measured[m[1]]; dup && prev.AllocsPerOp >= allocs {
+				continue
 			}
-			measured[m[1]] = measurement{Name: m[1], NsPerOp: ns, BytesPerOp: bytes, AllocsPerOp: allocs}
+			measured[m[1]] = measurement{Name: m[1], BytesPerOp: bytes, AllocsPerOp: allocs}
 		}
 		if err := sc.Err(); err != nil {
 			return fmt.Errorf("reading %s: %w", name, err)
@@ -190,7 +192,9 @@ func parseInputs(paths []string) (map[string]measurement, error) {
 		return nil
 	}
 	if len(paths) == 0 {
-		return measured, readFrom(os.Stdin, "stdin")
+		if err := readFrom(os.Stdin, "stdin"); err != nil {
+			return nil, err
+		}
 	}
 	for _, p := range paths {
 		f, err := os.Open(p)
@@ -203,7 +207,25 @@ func parseInputs(paths []string) (map[string]measurement, error) {
 			return nil, err
 		}
 	}
+	for n, m := range measured {
+		m.NsPerOp = median(nsSamples[n])
+		measured[n] = m
+	}
 	return measured, nil
+}
+
+// median returns the middle of xs (the mean of the two middle values for
+// an even count), sorting xs in place; 0 for an empty slice.
+func median(xs []float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	sort.Float64s(xs)
+	mid := len(xs) / 2
+	if len(xs)%2 == 0 {
+		return (xs[mid-1] + xs[mid]) / 2
+	}
+	return xs[mid]
 }
 
 func readBaseline(path string) (*baseline, error) {
@@ -229,15 +251,7 @@ func speedFactor(base *baseline, measured map[string]measurement) float64 {
 			ratios = append(ratios, m.NsPerOp/be.NsPerOp)
 		}
 	}
-	if len(ratios) == 0 {
-		return 0
-	}
-	sort.Float64s(ratios)
-	mid := len(ratios) / 2
-	if len(ratios)%2 == 0 {
-		return (ratios[mid-1] + ratios[mid]) / 2
-	}
-	return ratios[mid]
+	return median(ratios)
 }
 
 func compare(base *baseline, measured map[string]measurement, marginPct, nsMarginPct float64) *report {

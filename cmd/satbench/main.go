@@ -7,9 +7,8 @@
 //	satbench -table 7                 # one table (medium scale)
 //	satbench -table all -scale small  # everything, quickly
 //
-// Absolute runtimes differ from the paper's 2002 hardware; each report
-// carries the paper's qualitative claim, and EXPERIMENTS.md records the
-// paper-vs-measured comparison.
+// Absolute runtimes differ from the paper's 2002 hardware, so each table is
+// printed with the paper's qualitative claim as a note beneath it.
 package main
 
 import (

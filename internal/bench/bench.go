@@ -5,8 +5,8 @@
 //
 // Absolute runtimes are not comparable to the paper's (PentiumIII-700 /
 // 450MHz Ultra-80 vs. this machine, and scaled instance sizes), so every
-// table renderer also records the paper's qualitative claim next to the
-// measured numbers; EXPERIMENTS.md tracks both.
+// table renderer also records the paper's qualitative claim as a note
+// (Report.Notes) printed beneath the measured numbers.
 package bench
 
 import (

@@ -303,7 +303,7 @@ func TestLrbHeapTracksUnassigned(t *testing.T) {
 	check := func(when string) {
 		t.Helper()
 		for v := cnf.Var(1); v <= 3; v++ {
-			if inHeap, free := d.order.pos[v] != 0, s.assigns[v] == lUndef; inHeap != free {
+			if inHeap, free := d.order.pos[v] != 0, s.vals[cnf.PosLit(v)] == lUndef; inHeap != free {
 				t.Fatalf("%s: var %d in heap = %v, unassigned = %v", when, v, inHeap, free)
 			}
 		}

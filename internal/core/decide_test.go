@@ -273,7 +273,7 @@ func TestNbTwoMatchesScanOnBinaryFormulas(t *testing.T) {
 			}
 		}
 		for v := 1; v <= n; v++ {
-			if s.assigns[v] != lUndef {
+			if s.vals[cnf.PosLit(cnf.Var(v))] != lUndef {
 				continue
 			}
 			for _, l := range [2]cnf.Lit{cnf.PosLit(cnf.Var(v)), cnf.NegLit(cnf.Var(v))} {

@@ -98,7 +98,7 @@ func (s *Solver) pickFree(order *actHeap[cnf.Var, float64]) cnf.Lit {
 		if v == 0 {
 			return cnf.LitUndef
 		}
-		if s.assigns[v] == lUndef {
+		if s.vals[cnf.PosLit(v)] == lUndef {
 			s.stats.GlobalDecisions++
 			return s.nbTwoPolarity(v)
 		}

@@ -23,9 +23,13 @@ import (
 //     watcher's literal really occurs in its clause's watched slots, and
 //     Stats.BinClauses equals the binary-tier walk;
 //   - every assigned variable's reason ref is live, and refBin reasons
-//     carry a real implying literal.
+//     carry a real implying literal;
+//   - the per-literal value array is consistent: vals[2v] == -vals[2v+1]
+//     for every variable, every trail literal is true, and exactly
+//     len(trail) variables are assigned.
 func checkInvariants(t testing.TB, s *Solver) {
 	t.Helper()
+	checkValues(t, s)
 	if !s.ok {
 		// Level-0 UNSAT tears the pass down mid-flight (early returns skip
 		// the rebuilds and recounts on purpose): the solver is dead and
@@ -108,7 +112,7 @@ func checkInvariants(t testing.TB, s *Solver) {
 	}
 
 	for v := 1; v <= s.nVars; v++ {
-		if s.assigns[v] == lUndef {
+		if s.vals[cnf.PosLit(cnf.Var(v))] == lUndef {
 			continue
 		}
 		switch r := s.reason[v]; r {
@@ -123,6 +127,91 @@ func checkInvariants(t testing.TB, s *Solver) {
 			}
 		}
 	}
+}
+
+// checkValues asserts the value-array part of checkInvariants. It holds
+// even on a dead (level-0 UNSAT) solver, so it runs before that early exit.
+func checkValues(t testing.TB, s *Solver) {
+	t.Helper()
+	assigned := 0
+	for v := 1; v <= s.nVars; v++ {
+		p := cnf.PosLit(cnf.Var(v))
+		if s.vals[p] != -s.vals[p^1] {
+			t.Fatalf("invariant: x%d has vals[+] = %d but vals[-] = %d", v, s.vals[p], s.vals[p^1])
+		}
+		if s.vals[p] != lUndef {
+			assigned++
+		}
+	}
+	for i, l := range s.trail {
+		if s.vals[l] != lTrue {
+			t.Fatalf("invariant: trail[%d] = %v has value %d, want true", i, l, s.vals[l])
+		}
+	}
+	if assigned != len(s.trail) {
+		t.Fatalf("invariant: %d variables assigned, trail holds %d literals", assigned, len(s.trail))
+	}
+}
+
+// TestValueArrayInvariants drives every writer of the per-literal value
+// array — enqueue, enqueueBin, cancelUntil, Reset, Clone and the growth
+// of NewGroup past nVars — through checkInvariants.
+func TestValueArrayInvariants(t *testing.T) {
+	s := New(DefaultOptions())
+	s.AddClause(cnf.NewClause(1, 2, 3))
+	s.AddClause(cnf.NewClause(-1, 4))
+	s.AddClause(cnf.NewClause(3)) // level-0 unit, kept across Reset
+	s.propagate()
+	checkInvariants(t, s)
+
+	s.newDecisionLevel()
+	s.enqueue(cnf.NegLit(2), refUndef)
+	s.enqueueBin(cnf.PosLit(4), cnf.NegLit(1))
+	checkInvariants(t, s)
+	s.newDecisionLevel()
+	s.enqueue(cnf.PosLit(1), refUndef)
+	if s.enqueue(cnf.NegLit(1), refUndef) {
+		t.Fatal("enqueue of a false literal succeeded")
+	}
+	if !s.enqueue(cnf.PosLit(1), refUndef) {
+		t.Fatal("enqueue of a true literal failed")
+	}
+	checkInvariants(t, s)
+
+	c := s.Clone()
+	checkInvariants(t, c)
+	c.cancelUntil(1)
+	checkInvariants(t, c)
+	if s.value(cnf.PosLit(1)) != lTrue || c.value(cnf.PosLit(1)) != lUndef {
+		t.Fatal("clone shares the value array")
+	}
+
+	s.cancelUntil(1)
+	checkInvariants(t, s)
+	g := s.NewGroup() // grows every array past nVars mid-search
+	checkInvariants(t, s)
+	if a := s.GroupLit(g); s.value(a) != lUndef || s.value(a.Not()) != lUndef {
+		t.Fatalf("fresh activation variable is assigned: %d/%d", s.value(a), s.value(a.Not()))
+	}
+	s.enqueue(s.GroupLit(g).Not(), refUndef)
+	checkInvariants(t, s)
+	s.cancelUntil(0)
+	checkInvariants(t, s)
+	if len(s.trail) != 1 || s.trail[0] != cnf.PosLit(3) {
+		t.Fatalf("level-0 trail = %v, want [x3]", s.trail)
+	}
+
+	s.newDecisionLevel()
+	s.enqueue(cnf.PosLit(2), refUndef)
+	s.Reset()
+	checkInvariants(t, s)
+	if s.value(cnf.PosLit(3)) != lTrue || s.value(cnf.PosLit(2)) != lUndef {
+		t.Fatal("Reset lost the level-0 unit or kept a decision")
+	}
+	if r := s.Solve(); r.Status != StatusSat {
+		t.Fatalf("status = %v", r.Status)
+	}
+	checkInvariants(t, s)
 }
 
 // churnOptions returns a tiered configuration with aggressive restart and

@@ -148,7 +148,7 @@ func (d *lrbDecider) rebuild(n int) {
 	}
 	d.stamp()
 	for v := cnf.Var(old + 1); int(v) <= n; v++ {
-		if d.s.assigns[v] == lUndef {
+		if d.s.vals[cnf.PosLit(v)] == lUndef {
 			d.order.insert(v)
 		}
 	}
@@ -160,7 +160,7 @@ func (d *lrbDecider) rearmHeap() {
 	d.stamp()
 	d.order.clear()
 	for v := cnf.Var(1); int(v) <= d.s.nVars; v++ {
-		if d.s.assigns[v] == lUndef {
+		if d.s.vals[cnf.PosLit(v)] == lUndef {
 			d.order.insert(v)
 		}
 	}

@@ -52,7 +52,7 @@ func (s *Solver) ProbeLevel() int { return s.decisionLevel() }
 // Assigned reports whether variable v currently holds a value (at any
 // level — under active probes that includes probe implications).
 func (s *Solver) Assigned(v cnf.Var) bool {
-	return int(v) < len(s.assigns) && s.assigns[v] != lUndef
+	return int(v) <= s.nVars && s.vals[cnf.PosLit(v)] != lUndef
 }
 
 // TrailLen returns the current assignment count. The difference across a

@@ -88,7 +88,7 @@ func diffPropagate(t *testing.T, f *cnf.Formula, decisions []cnf.Lit) {
 			case -1:
 				want = lFalse
 			}
-			if got := s.assigns[v]; got != want {
+			if got := s.vals[cnf.PosLit(cnf.Var(v))]; got != want {
 				t.Fatalf("step %d: x%d engine=%d reference=%d", step, v, got, assign[v])
 			}
 		}

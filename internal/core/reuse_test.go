@@ -97,7 +97,7 @@ func TestCloneSharesNoMutableState(t *testing.T) {
 	if sliceShares(c.clauses, s.clauses) || sliceShares(c.learnts, s.learnts) {
 		t.Fatal("clone shares a clause list")
 	}
-	if sliceShares(c.assigns, s.assigns) || sliceShares(c.vlevel, s.vlevel) ||
+	if sliceShares(c.vals, s.vals) || sliceShares(c.vlevel, s.vlevel) ||
 		sliceShares(c.reason, s.reason) || sliceShares(c.binReason, s.binReason) ||
 		sliceShares(c.trail, s.trail) ||
 		sliceShares(c.phase, s.phase) || sliceShares(c.seen, s.seen) ||

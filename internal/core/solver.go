@@ -120,7 +120,7 @@ type Solver struct {
 	// ---- Search plane: accumulated by the CDCL loop; dropped by Reset.
 	learnts []clauseRef // conflict-clause stack, index = age, top = end
 
-	assigns   []lbool     // per variable
+	vals      []lbool     // per literal: vals[l] == -vals[l^1]; value(l) is one load
 	vlevel    []int32     // per variable: decision level of its assignment
 	reason    []clauseRef // per variable: antecedent clause (refUndef for decisions, refBin for binary implications)
 	binReason []cnf.Lit   // per variable: the implying (false) literal when reason is refBin
@@ -251,8 +251,7 @@ func (s *Solver) ensureVars(n int) {
 		return
 	}
 	s.nVars = n
-	add := n + 1 - len(s.assigns)
-	s.assigns = appendN(s.assigns, add, lUndef)
+	add := n + 1 - len(s.vlevel)
 	s.vlevel = appendN(s.vlevel, add, 0)
 	s.reason = appendN(s.reason, add, refUndef)
 	s.binReason = appendN(s.binReason, add, cnf.LitUndef)
@@ -263,6 +262,7 @@ func (s *Solver) ensureVars(n int) {
 	// allocation-free.
 	s.glueSeen = appendN(s.glueSeen, add, 0)
 	addLit := 2*n + 2 - len(s.watches)
+	s.vals = appendN(s.vals, addLit, lUndef)
 	s.watches = appendN(s.watches, addLit, nil)
 	s.binWatches = appendN(s.binWatches, addLit, nil)
 	s.binOcc = appendN(s.binOcc, addLit, nil)
@@ -282,16 +282,7 @@ func appendN[T any](xs []T, k int, x T) []T {
 }
 
 // value returns the literal's current three-valued truth value.
-func (s *Solver) value(l cnf.Lit) lbool {
-	a := s.assigns[l.Var()]
-	if a == lUndef {
-		return lUndef
-	}
-	if l.Neg() {
-		return -a
-	}
-	return a
-}
+func (s *Solver) value(l cnf.Lit) lbool { return s.vals[l] }
 
 func (s *Solver) decisionLevel() int { return len(s.trailLim) }
 
@@ -391,11 +382,8 @@ func (s *Solver) enqueue(l cnf.Lit, from clauseRef) bool {
 		return false
 	}
 	v := l.Var()
-	if l.Neg() {
-		s.assigns[v] = lFalse
-	} else {
-		s.assigns[v] = lTrue
-	}
+	s.vals[l] = lTrue
+	s.vals[l^1] = lFalse
 	s.vlevel[v] = int32(s.decisionLevel())
 	s.reason[v] = from
 	s.trail = append(s.trail, l)
@@ -409,11 +397,8 @@ func (s *Solver) enqueue(l cnf.Lit, from clauseRef) bool {
 // lUndef (the binary propagation loop and record do).
 func (s *Solver) enqueueBin(l, from cnf.Lit) {
 	v := l.Var()
-	if l.Neg() {
-		s.assigns[v] = lFalse
-	} else {
-		s.assigns[v] = lTrue
-	}
+	s.vals[l] = lTrue
+	s.vals[l^1] = lFalse
 	s.vlevel[v] = int32(s.decisionLevel())
 	s.reason[v] = refBin
 	s.binReason[v] = from
@@ -440,9 +425,10 @@ func (s *Solver) cancelUntil(level int) {
 	for _, l := range s.trail[bound:] {
 		v := l.Var()
 		if savePhase {
-			s.phase[v] = s.assigns[v]
+			s.phase[v] = s.vals[cnf.PosLit(v)]
 		}
-		s.assigns[v] = lUndef
+		s.vals[l] = lUndef
+		s.vals[l^1] = lUndef
 		s.reason[v] = refUndef
 	}
 	s.dec.onBacktrack(s.trail[bound:])
@@ -678,7 +664,7 @@ func (s *Solver) ChargeRuntime(d time.Duration) { s.stats.Runtime += d }
 func (s *Solver) extractModel() []bool {
 	m := make([]bool, s.nVars+1)
 	for v := 1; v <= s.nVars; v++ {
-		m[v] = s.assigns[v] == lTrue
+		m[v] = s.vals[cnf.PosLit(cnf.Var(v))] == lTrue
 	}
 	return m
 }

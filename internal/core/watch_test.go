@@ -77,7 +77,7 @@ func TestBacktrackRestoresWatchConsistency(t *testing.T) {
 		// Random assault: decide/propagate/backtrack a few times.
 		for round := 0; round < 5 && s.ok; round++ {
 			v := cnf.Var(1 + rng.Intn(n))
-			if s.assigns[v] != lUndef {
+			if s.vals[cnf.PosLit(v)] != lUndef {
 				continue
 			}
 			s.newDecisionLevel()
