@@ -1,88 +1,86 @@
-// Command benchguard gates CI on benchmark regressions. It parses
-// `go test -bench -benchmem` output, compares each benchmark against a
-// checked-in baseline, writes a machine-readable report, and exits
-// non-zero on a regression.
+// Command benchguard gates CI on benchmark regressions against a git
+// commit. It checks the anchor commit out in a temporary git worktree,
+// runs `go test -run '^$' -bench . -benchmem` over the named packages at
+// the anchor and at the working tree, in interleaved rounds on the same
+// machine, writes a machine-readable report, and exits non-zero on a
+// regression. Both sides run on one box minutes apart, so no file of
+// recorded numbers has to be refreshed and no machine-speed factor has to
+// be guessed.
 //
-// Two gates run per benchmark:
+// The rounds alternate which side goes first, so a slow stretch of the
+// machine lands on both sides instead of on all of one side's samples.
+// Each side gates on the median ns/op of its rounds and its worst
+// allocs/op.
+//
+// Two gates run per benchmark present on both sides:
 //
 //   - allocs/op (default margin 20%, plus a half-alloc absolute slack so a
-//     0-alloc baseline still tolerates measurement noise but not a real
-//     allocation). Alloc counts are deterministic for a deterministic
-//     solver, so this gate is exact across machines.
+//     0-alloc anchor still tolerates measurement noise but not a real
+//     allocation).
 //
-//   - ns/op (default margin 30%, -ns-margin 0 disables). Raw wall-clock is
-//     not comparable across machines — CI runners have wildly varying
-//     clock speeds — so the gate is speed-normalized: the median of
-//     measured/baseline ns ratios over all benchmarks estimates the
-//     machine-speed factor, and a benchmark fails only when its own ratio
-//     exceeds the median by more than the margin. A uniformly slower
-//     runner shifts every ratio equally and passes; one hot path getting
-//     slower than its peers is exactly what sticks out. (The blind spot —
-//     every benchmark regressing by the same factor at once — is covered
-//     by the alloc gate and by the ns trend recorded in the BENCH
-//     artifacts.) A small absolute slack keeps nanosecond-scale
-//     benchmarks from failing on scheduler jitter.
+//   - ns/op (default margin 30%, -ns-margin 0 disables): the ratio of the
+//     working tree's median to the anchor's, with 20ns of absolute slack
+//     so nanosecond-scale benchmarks don't fail on scheduler jitter.
+//
+// A benchmark that runs at the anchor but not in the working tree fails:
+// a rename or deletion is a coverage loss that must move the anchor
+// deliberately. A benchmark new in the working tree is reported as new and
+// not gated.
 //
 // Usage:
 //
-//	go test -bench 'Propagate|Solve' -benchmem -run '^$' ./... | tee bench.out
-//	benchguard -baseline .github/bench-baseline.json -out BENCH_4.json bench.out
-//	benchguard -baseline .github/bench-baseline.json -update bench.out   # refresh baseline
+//	go run ./cmd/benchguard -anchor HEAD~1 ./internal/core
+//	go run ./cmd/benchguard -anchor 28c79c1 -out bench-report.json ./internal/core ./internal/bench
 package main
 
 import (
-	"bufio"
+	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
+	"maps"
 	"os"
+	"os/exec"
+	"os/signal"
+	"path/filepath"
 	"regexp"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
+	"strings"
 )
 
-type baseline struct {
-	Note       string                   `json:"note,omitempty"`
-	Benchmarks map[string]baselineEntry `json:"benchmarks"`
-}
-
-type baselineEntry struct {
-	AllocsPerOp float64 `json:"allocs_per_op"`
-	// NsPerOp is recorded at baseline-update time on whatever machine ran
-	// it; the ns gate compares against it only after normalizing out the
-	// current machine's overall speed factor.
-	NsPerOp float64 `json:"ns_per_op,omitempty"`
-}
+// rounds is the number of interleaved passes per side. With three, an
+// A/A run (the same commit on both sides) on a 2-CPU box failed one
+// benchmark at 1.41x: one side's samples spread from 18 to 32 µs/op. Five
+// let the median absorb two slow passes.
+const rounds = 5
 
 type measurement struct {
-	Name        string  `json:"name"`
 	NsPerOp     float64 `json:"ns_per_op"`
 	BytesPerOp  float64 `json:"b_per_op"`
 	AllocsPerOp float64 `json:"allocs_per_op"`
 }
 
 type verdict struct {
-	measurement
-	BaselineAllocs *float64 `json:"baseline_allocs_per_op,omitempty"`
-	BaselineNs     *float64 `json:"baseline_ns_per_op,omitempty"`
-	// NsRatioNormalized is measured/baseline ns divided by the run's
-	// median such ratio: ~1.0 means "kept pace with the other benchmarks
-	// on this machine", >1+margin fails the ns gate.
-	NsRatioNormalized float64 `json:"ns_ratio_normalized,omitempty"`
-	Status            string  `json:"status"` // ok | regression | ns-regression | improved | new
+	Name   string      `json:"name"`
+	Anchor measurement `json:"anchor,omitzero"` // zero when absent at the anchor
+	Head   measurement `json:"head,omitzero"`   // zero when absent in the working tree
+	// NsRatio is the working tree's median ns/op over the anchor's.
+	NsRatio float64 `json:"ns_ratio,omitempty"`
+	Status  string  `json:"status"` // ok | improved | regression | ns-regression | missing | new
 }
 
 type report struct {
-	Schema      string  `json:"schema"`
-	Go          string  `json:"go"`
-	MarginPct   float64 `json:"margin_pct"`
-	NsMarginPct float64 `json:"ns_margin_pct"`
-	// SpeedFactor is the median measured/baseline ns ratio — the estimated
-	// speed of this machine relative to the one that recorded the baseline
-	// (0 when the ns gate did not run).
-	SpeedFactor float64   `json:"speed_factor,omitempty"`
+	Schema      string    `json:"schema"`
+	Go          string    `json:"go"`
+	Anchor      string    `json:"anchor"`
+	Rounds      int       `json:"rounds"`
+	MarginPct   float64   `json:"margin_pct"`
+	NsMarginPct float64   `json:"ns_margin_pct"`
 	Pass        bool      `json:"pass"`
 	Failures    []string  `json:"failures,omitempty"`
 	Results     []verdict `json:"results"`
@@ -102,56 +100,29 @@ func main() {
 
 func run() int {
 	var (
-		baselinePath = flag.String("baseline", ".github/bench-baseline.json", "checked-in baseline file")
-		outPath      = flag.String("out", "", "write the comparison report (JSON) here")
-		margin       = flag.Float64("margin", 20, "allowed allocs/op regression, percent")
-		nsMargin     = flag.Float64("ns-margin", 30, "allowed ns/op regression beyond the run's median drift, percent (0 disables the speed gate)")
-		update       = flag.Bool("update", false, "rewrite the baseline from the measured values instead of gating")
+		anchor   = flag.String("anchor", "", "git revision to compare the working tree against (required)")
+		outPath  = flag.String("out", "", "write the comparison report (JSON) here")
+		margin   = flag.Float64("margin", 20, "allowed allocs/op regression, percent")
+		nsMargin = flag.Float64("ns-margin", 30, "allowed ns/op regression against the anchor, percent (0 disables the speed gate)")
 	)
 	flag.Parse()
-
-	measured, err := parseInputs(flag.Args())
+	if *anchor == "" || flag.NArg() == 0 {
+		fmt.Fprintln(os.Stderr, "usage: benchguard -anchor <rev> [-out report.json] [-margin pct] [-ns-margin pct] <packages>")
+		return 2
+	}
+	rep, err := guard(*anchor, flag.Args(), *margin, *nsMargin)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchguard:", err)
 		return 2
 	}
-	if len(measured) == 0 {
-		fmt.Fprintln(os.Stderr, "benchguard: no benchmark results found in input")
-		return 2
-	}
-
-	if *update {
-		return writeBaseline(*baselinePath, measured)
-	}
-
-	base, err := readBaseline(*baselinePath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchguard:", err)
-		return 2
-	}
-
-	rep := compare(base, measured, *margin, *nsMargin)
 	if *outPath != "" {
-		if err := writeJSON(*outPath, rep); err != nil {
+		data, _ := json.MarshalIndent(rep, "", "  ") // a report has no unencodable value
+		if err := os.WriteFile(*outPath, append(data, '\n'), 0o644); err != nil {
 			fmt.Fprintln(os.Stderr, "benchguard:", err)
 			return 2
 		}
 	}
-	if rep.SpeedFactor > 0 {
-		fmt.Printf("machine speed factor vs baseline: %.2f\n", rep.SpeedFactor)
-	}
-	for _, v := range rep.Results {
-		extra := ""
-		if v.BaselineAllocs != nil {
-			extra = fmt.Sprintf(" (baseline %.0f allocs", *v.BaselineAllocs)
-			if v.NsRatioNormalized > 0 {
-				extra += fmt.Sprintf(", pace %.2fx", v.NsRatioNormalized)
-			}
-			extra += ")"
-		}
-		fmt.Printf("%-13s %-28s %12.0f ns/op %10.0f B/op %8.0f allocs/op%s\n",
-			v.Status, v.Name, v.NsPerOp, v.BytesPerOp, v.AllocsPerOp, extra)
-	}
+	printReport(rep)
 	if !rep.Pass {
 		for _, f := range rep.Failures {
 			fmt.Fprintln(os.Stderr, "FAIL:", f)
@@ -162,18 +133,121 @@ func run() int {
 	return 0
 }
 
-// parseInputs reads benchmark lines from the files (stdin when none). A
-// benchmark seen more than once (-count > 1, or several packages) gates on
-// the median of its ns/op samples, which one noisy run cannot move, and on
-// its worst allocs/op, so flakiness cannot hide an allocation regression.
+// guard checks rev out in a temporary worktree (removed on return, also
+// after an interrupt), benchmarks pkgs on both sides and compares them.
+func guard(rev string, pkgs []string, marginPct, nsMarginPct float64) (*report, error) {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	defer stop()
+	commit, err := git(ctx, "rev-parse", "--verify", rev+"^{commit}")
+	if err != nil {
+		return nil, err
+	}
+	// The packages are named relative to the working directory, which may
+	// sit below the repository root; run the anchor's pass at the same
+	// place inside its worktree.
+	prefix, err := git(ctx, "rev-parse", "--show-prefix")
+	if err != nil {
+		return nil, err
+	}
+	tmp, err := os.MkdirTemp("", "benchguard-")
+	if err != nil {
+		return nil, err
+	}
+	defer os.RemoveAll(tmp)
+	wt := filepath.Join(tmp, "anchor")
+	if _, err := git(ctx, "worktree", "add", "--detach", wt, commit); err != nil {
+		return nil, err
+	}
+	defer func() {
+		if _, err := git(context.Background(), "worktree", "remove", "--force", wt); err != nil {
+			fmt.Fprintln(os.Stderr, "benchguard:", err)
+		}
+	}()
+	anchorDir := filepath.Join(wt, prefix)
+	anchorOut, headOut, err := measure(anchorDir, ".", func(dir string) (string, error) {
+		return benchPass(ctx, dir, tmp, pkgs)
+	})
+	if err != nil {
+		return nil, err
+	}
+	base, errA := parseInputs(anchorOut)
+	head, errH := parseInputs(headOut)
+	if err := errors.Join(errA, errH); err != nil {
+		return nil, err
+	}
+	if len(base) == 0 && len(head) == 0 {
+		return nil, fmt.Errorf("no benchmark results found in %s", strings.Join(pkgs, " "))
+	}
+	rep := compare(base, head, marginPct, nsMarginPct)
+	rep.Anchor = commit
+	return rep, nil
+}
+
+// measure runs rounds passes on each side through bench, which benchmarks
+// one directory and returns the path of its output. The anchor goes first
+// in even rounds and the working tree in odd ones.
+func measure(anchorDir, headDir string, bench func(dir string) (string, error)) (anchorOut, headOut []string, err error) {
+	dirs := [2]string{anchorDir, headDir}
+	var outs [2][]string
+	for r := range rounds {
+		for i := range 2 {
+			side := (r + i) % 2
+			out, err := bench(dirs[side])
+			if err != nil {
+				return nil, nil, err
+			}
+			outs[side] = append(outs[side], out)
+		}
+	}
+	return outs[0], outs[1], nil
+}
+
+// benchPass runs one benchmark pass over pkgs in dir, echoing its output
+// to stdout and saving it to a new file in tmp, whose path it returns.
+func benchPass(ctx context.Context, dir, tmp string, pkgs []string) (string, error) {
+	f, err := os.CreateTemp(tmp, "pass*.out")
+	if err != nil {
+		return "", err
+	}
+	defer f.Close()
+	fmt.Printf("benchguard: benchmarking in %s\n", dir)
+	cmd := exec.CommandContext(ctx, "go", append([]string{"test", "-run", "^$", "-bench", ".", "-benchmem"}, pkgs...)...)
+	cmd.Dir = dir
+	// Interrupt rather than kill: go test then starts no further package
+	// and exits when the running test binary does, leaving no orphan.
+	cmd.Cancel = func() error { return cmd.Process.Signal(os.Interrupt) }
+	cmd.Stdout = io.MultiWriter(f, os.Stdout)
+	cmd.Stderr = os.Stderr
+	if err := cmd.Run(); err != nil {
+		return "", fmt.Errorf("go test -bench in %s: %w", dir, err)
+	}
+	return f.Name(), f.Close()
+}
+
+// git runs a git command in the working directory and returns its trimmed
+// output.
+func git(ctx context.Context, args ...string) (string, error) {
+	out, err := exec.CommandContext(ctx, "git", args...).CombinedOutput()
+	if err != nil {
+		return "", fmt.Errorf("git %s: %w\n%s", strings.Join(args, " "), err, out)
+	}
+	return strings.TrimSpace(string(out)), nil
+}
+
+// parseInputs reads benchmark lines from the files. A benchmark seen more
+// than once (several rounds, or several packages) gates on the median of
+// its ns/op samples, which one noisy pass cannot move, and on its worst
+// allocs/op, so flakiness cannot hide an allocation regression.
 func parseInputs(paths []string) (map[string]measurement, error) {
 	measured := map[string]measurement{}
 	nsSamples := map[string][]float64{}
-	readFrom := func(r io.Reader, name string) error {
-		sc := bufio.NewScanner(r)
-		sc.Buffer(make([]byte, 1<<20), 1<<20)
-		for sc.Scan() {
-			m := benchLine.FindStringSubmatch(sc.Text())
+	for _, p := range paths {
+		data, err := os.ReadFile(p)
+		if err != nil {
+			return nil, err
+		}
+		for _, line := range strings.Split(string(data), "\n") {
+			m := benchLine.FindStringSubmatch(line)
 			if m == nil {
 				continue
 			}
@@ -184,27 +258,7 @@ func parseInputs(paths []string) (map[string]measurement, error) {
 			if prev, dup := measured[m[1]]; dup && prev.AllocsPerOp >= allocs {
 				continue
 			}
-			measured[m[1]] = measurement{Name: m[1], BytesPerOp: bytes, AllocsPerOp: allocs}
-		}
-		if err := sc.Err(); err != nil {
-			return fmt.Errorf("reading %s: %w", name, err)
-		}
-		return nil
-	}
-	if len(paths) == 0 {
-		if err := readFrom(os.Stdin, "stdin"); err != nil {
-			return nil, err
-		}
-	}
-	for _, p := range paths {
-		f, err := os.Open(p)
-		if err != nil {
-			return nil, err
-		}
-		err = readFrom(f, p)
-		f.Close()
-		if err != nil {
-			return nil, err
+			measured[m[1]] = measurement{BytesPerOp: bytes, AllocsPerOp: allocs}
 		}
 	}
 	for n, m := range measured {
@@ -228,117 +282,67 @@ func median(xs []float64) float64 {
 	return xs[mid]
 }
 
-func readBaseline(path string) (*baseline, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var b baseline
-	if err := json.Unmarshal(data, &b); err != nil {
-		return nil, fmt.Errorf("parsing %s: %w", path, err)
-	}
-	return &b, nil
-}
-
-// speedFactor estimates how fast this machine is relative to the one that
-// recorded the baseline: the median of per-benchmark measured/baseline
-// ns ratios. The median is robust to the thing being hunted — a few
-// benchmarks genuinely regressing — as long as most did not.
-func speedFactor(base *baseline, measured map[string]measurement) float64 {
-	var ratios []float64
-	for n, m := range measured {
-		if be, ok := base.Benchmarks[n]; ok && be.NsPerOp > 0 && m.NsPerOp > 0 {
-			ratios = append(ratios, m.NsPerOp/be.NsPerOp)
+// compare gates every benchmark of the working tree (head) against the
+// anchor.
+func compare(anchor, head map[string]measurement, marginPct, nsMarginPct float64) *report {
+	rep := &report{Schema: "berkmin-bench/3", Go: runtime.Version(), Rounds: rounds,
+		MarginPct: marginPct, NsMarginPct: nsMarginPct, Pass: true}
+	all := maps.Clone(anchor)
+	maps.Copy(all, head)
+	for _, n := range slices.Sorted(maps.Keys(all)) {
+		a, inAnchor := anchor[n]
+		h, inHead := head[n]
+		v := verdict{Name: n}
+		fail := func(status, format string, args ...any) {
+			v.Status = status
+			rep.Pass = false
+			rep.Failures = append(rep.Failures, n+": "+fmt.Sprintf(format, args...))
 		}
-	}
-	return median(ratios)
-}
-
-func compare(base *baseline, measured map[string]measurement, marginPct, nsMarginPct float64) *report {
-	rep := &report{Schema: "berkmin-bench/2", Go: runtime.Version(), MarginPct: marginPct, NsMarginPct: nsMarginPct, Pass: true}
-	norm := 0.0
-	if nsMarginPct > 0 {
-		norm = speedFactor(base, measured)
-		rep.SpeedFactor = norm
-	}
-	names := make([]string, 0, len(measured))
-	for n := range measured {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		m := measured[n]
-		v := verdict{measurement: m, Status: "new"}
-		if be, ok := base.Benchmarks[n]; ok {
-			b := be.AllocsPerOp
-			v.BaselineAllocs = &b
-			// 20% relative margin plus half an allocation of absolute
-			// slack: a 0-alloc baseline fails on the first real
-			// allocation, a large baseline tolerates rounding.
-			allowed := b*(1+marginPct/100) + 0.5
-			switch {
-			case m.AllocsPerOp > allowed:
-				v.Status = "regression"
-				rep.Pass = false
-				rep.Failures = append(rep.Failures, fmt.Sprintf(
-					"%s: %.0f allocs/op exceeds baseline %.0f by more than %.0f%%",
-					n, m.AllocsPerOp, b, marginPct))
-			case m.AllocsPerOp < b:
+		switch {
+		case !inHead:
+			v.Anchor = a
+			fail("missing", "runs at the anchor but not in the working tree")
+		case !inAnchor:
+			v.Head, v.Status = h, "new"
+		default:
+			v.Anchor, v.Head, v.Status = a, h, "ok"
+			if h.AllocsPerOp < a.AllocsPerOp {
 				v.Status = "improved"
-			default:
-				v.Status = "ok"
 			}
-			// Speed gate: normalized drift beyond the margin, with 20ns of
-			// absolute slack so nanosecond-scale benchmarks don't fail on
-			// scheduler jitter.
-			if norm > 0 && be.NsPerOp > 0 && m.NsPerOp > 0 {
-				bn := be.NsPerOp
-				v.BaselineNs = &bn
-				v.NsRatioNormalized = m.NsPerOp / (bn * norm)
-				if m.NsPerOp > bn*norm*(1+nsMarginPct/100)+20 {
-					if v.Status != "regression" {
-						v.Status = "ns-regression"
-					}
-					rep.Pass = false
-					rep.Failures = append(rep.Failures, fmt.Sprintf(
-						"%s: %.0f ns/op is %.2fx its baseline pace (machine speed factor %.2f, margin %.0f%%)",
-						n, m.NsPerOp, v.NsRatioNormalized, norm, nsMarginPct))
-				}
+			if a.NsPerOp > 0 {
+				v.NsRatio = h.NsPerOp / a.NsPerOp
+			}
+			if nsMarginPct > 0 && h.NsPerOp > a.NsPerOp*(1+nsMarginPct/100)+20 {
+				fail("ns-regression", "%.0f ns/op is %.2fx the anchor's %.0f ns/op (margin %.0f%%)",
+					h.NsPerOp, v.NsRatio, a.NsPerOp, nsMarginPct)
+			}
+			// 20% relative margin plus half an allocation of absolute
+			// slack: a 0-alloc anchor fails on the first real
+			// allocation, a large one tolerates rounding. Checked last,
+			// so an alloc regression's status wins over a speed one.
+			if h.AllocsPerOp > a.AllocsPerOp*(1+marginPct/100)+0.5 {
+				fail("regression", "%.0f allocs/op exceeds the anchor's %.0f by more than %.0f%%",
+					h.AllocsPerOp, a.AllocsPerOp, marginPct)
 			}
 		}
 		rep.Results = append(rep.Results, v)
 	}
-	// A baseline benchmark that no longer runs is a silent coverage loss:
-	// gate on it so renames update the baseline deliberately.
-	for n := range base.Benchmarks {
-		if _, ok := measured[n]; !ok {
-			rep.Pass = false
-			rep.Failures = append(rep.Failures, fmt.Sprintf("%s: in baseline but absent from benchmark output", n))
-		}
-	}
 	return rep
 }
 
-func writeBaseline(path string, measured map[string]measurement) int {
-	b := baseline{
-		Note:       "allocs/op baselines for the CI bench gate; refresh with: go run ./cmd/benchguard -baseline " + path + " -update <bench output>",
-		Benchmarks: map[string]baselineEntry{},
+// printReport prints one row per benchmark and the largest ns ratio.
+func printReport(rep *report) {
+	fmt.Printf("benchguard: anchor %s, median of %d interleaved rounds per side\n", rep.Anchor, rep.Rounds)
+	fmt.Printf("%-13s %-40s %14s %14s %7s  %s\n", "status", "benchmark", "anchor ns/op", "HEAD ns/op", "ratio", "allocs/op")
+	worst := verdict{}
+	for _, v := range rep.Results {
+		fmt.Printf("%-13s %-40s %14.1f %14.1f %6.2fx  %.0f -> %.0f\n", v.Status, v.Name,
+			v.Anchor.NsPerOp, v.Head.NsPerOp, v.NsRatio, v.Anchor.AllocsPerOp, v.Head.AllocsPerOp)
+		if v.NsRatio > worst.NsRatio {
+			worst = v
+		}
 	}
-	for n, m := range measured {
-		b.Benchmarks[n] = baselineEntry{AllocsPerOp: m.AllocsPerOp, NsPerOp: m.NsPerOp}
+	if worst.NsRatio > 0 {
+		fmt.Printf("benchguard: largest ns ratio %.2fx (%s)\n", worst.NsRatio, worst.Name)
 	}
-	if err := writeJSON(path, b); err != nil {
-		fmt.Fprintln(os.Stderr, "benchguard:", err)
-		return 2
-	}
-	fmt.Printf("benchguard: wrote %d baselines to %s\n", len(b.Benchmarks), path)
-	return 0
-}
-
-func writeJSON(path string, v any) error {
-	data, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

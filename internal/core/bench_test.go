@@ -13,7 +13,7 @@ import (
 // at capacity, so the loop must report 0 allocs/op — the CI bench job
 // gates on this (see cmd/benchguard).
 func BenchmarkPropagate(b *testing.B) {
-	runPropagateChain(b, DefaultOptions(), false)
+	runPropagateChain(b, mixedChain(DefaultOptions()), false, cnf.PosLit(1))
 }
 
 // BenchmarkPropagateDeciders runs BenchmarkPropagate's chain under each
@@ -31,29 +31,59 @@ func BenchmarkPropagateDeciders(b *testing.B) {
 		{"evsids", EvsidsOptions()},
 		{"lrb", LrbOptions()},
 	} {
-		b.Run(tc.name, func(b *testing.B) { runPropagateChain(b, tc.opt, true) })
+		b.Run(tc.name, func(b *testing.B) { runPropagateChain(b, mixedChain(tc.opt), true, cnf.PosLit(1)) })
 	}
 }
 
-// runPropagateChain times one op: assert the decision that heads a
-// 2000-variable implication chain, propagate it, optionally report a
-// conflict to the decider, and backtrack to level 0.
-func runPropagateChain(b *testing.B, opt Options, conflict bool) {
+// BenchmarkPropagateLong times the long-clause watch path that
+// BenchmarkPropagate's binary-dominated chain barely reaches: one op
+// asserts x1 and x2 at one decision level, and the ternary clauses
+// (¬x[i-2] ∨ ¬x[i-1] ∨ x[i]) imply the other variables in turn. The
+// binary tier is empty, so every implication visits a watch list and
+// loads its clause from the arena. Gated at 0 allocs/op like
+// BenchmarkPropagate.
+func BenchmarkPropagateLong(b *testing.B) {
+	s := New(DefaultOptions())
+	for i := 3; i <= chainLen; i++ {
+		s.AddClause(cnf.NewClause(-(i - 2), -(i - 1), i))
+	}
+	if s.stats.BinClauses != 0 {
+		b.Fatalf("%d binary clauses, want an empty binary tier", s.stats.BinClauses)
+	}
+	runPropagateChain(b, s, false, cnf.PosLit(1), cnf.PosLit(2))
+}
+
+// chainLen is the number of variables the propagate benchmarks' chains
+// assign per op.
+const chainLen = 2000
+
+// mixedChain returns a solver loaded with BenchmarkPropagate's chain:
+// binary implications x[i] → x[i+1], plus ternary clauses for watch
+// traffic.
+func mixedChain(opt Options) *Solver {
 	s := New(opt)
-	const n = 2000
-	for i := 1; i < n; i++ {
+	for i := 1; i < chainLen; i++ {
 		s.AddClause(cnf.NewClause(-i, i+1)) // implication chain
 	}
-	for i := 1; i+2 < n; i += 3 {
+	for i := 1; i+2 < chainLen; i += 3 {
 		s.AddClause(cnf.NewClause(-i, i+1, i+2)) // ternary watch traffic
 	}
+	return s
+}
+
+// runPropagateChain times one op: assert the heads of s's implication
+// chain at a new decision level, propagate it over all chainLen variables,
+// optionally report a conflict to the decider, and backtrack to level 0.
+func runPropagateChain(b *testing.B, s *Solver, conflict bool, heads ...cnf.Lit) {
 	run := func() {
 		s.newDecisionLevel()
-		s.enqueue(cnf.PosLit(1), refUndef)
+		for _, l := range heads {
+			s.enqueue(l, refUndef)
+		}
 		if s.propagate() != refUndef {
 			b.Fatal("unexpected conflict")
 		}
-		if len(s.trail) < n {
+		if len(s.trail) < chainLen {
 			b.Fatalf("chain only propagated %d assignments", len(s.trail))
 		}
 		if conflict {

@@ -95,11 +95,11 @@ func (s *Solver) Reset() {
 	s.resetPolicyState()
 }
 
-// resetPolicyState re-arms everything New derives from the Options —
-// restart sequence position, database-management thresholds, the decision
-// heap, the PRNG, the restart-postponement window — exactly as a fresh
-// construction would. Shared by Reset (same Options) and Reconfigure (new
-// Options, already installed and normalized).
+// resetPolicyState arms everything derived from the Options — restart
+// sequence position, database-management thresholds, the PRNG, the
+// restart-postponement window — as a fresh construction does. Shared by
+// New, Reset (same Options) and Reconfigure (new Options, already
+// installed and normalized).
 func (s *Solver) resetPolicyState() {
 	s.rng = newXorshift(s.opt.Seed)
 	s.geomLimit = float64(s.opt.RestartFirst)

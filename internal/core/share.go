@@ -84,26 +84,8 @@ func (s *Solver) drainImports() bool {
 	s.importMu.Unlock()
 
 	for _, item := range queue {
-		lits := item.lits
-		if v := int(cnf.Clause(lits).MaxVar()); v > s.nVars {
-			s.ensureVars(v)
-		}
-		norm, taut := cnf.Clause(lits).Normalize()
-		if taut {
-			continue
-		}
-		// Simplify against the level-0 assignment, like AddClause.
-		out := norm[:0]
-		satisfied := false
-		for _, l := range norm {
-			switch s.value(l) {
-			case lTrue:
-				satisfied = true
-			case lUndef:
-				out = append(out, l)
-			}
-		}
-		if satisfied {
+		out, keep := s.reduceAtRoot(item.lits)
+		if !keep {
 			continue
 		}
 		s.stats.ImportedClauses++

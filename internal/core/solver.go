@@ -219,19 +219,9 @@ type Solver struct {
 // New returns a Solver with the given options.
 func New(opt Options) *Solver {
 	opt.normalize()
-	s := &Solver{
-		opt:          opt,
-		ok:           true,
-		rng:          newXorshift(opt.Seed),
-		oldThreshold: oldThresholdInit,
-	}
+	s := &Solver{opt: opt, ok: true}
 	s.dec = newDecider(s)
-	s.geomLimit = float64(opt.RestartFirst)
-	s.restartLimit = s.nextRestartLimit()
-	s.tieredTarget = tieredFirstReduce
-	if opt.RestartPostpone {
-		s.recentGlue = make([]int32, postponeWindow)
-	}
+	s.resetPolicyState()
 	return s
 }
 
@@ -301,23 +291,9 @@ func (s *Solver) AddClause(c cnf.Clause) {
 	if !s.ok {
 		return
 	}
-	c = c.Clone()
-	if v := int(c.MaxVar()); v > s.nVars {
-		s.ensureVars(v)
-	}
-	norm, taut := c.Normalize()
-	if taut {
+	out, keep := s.reduceAtRoot(c.Clone())
+	if !keep {
 		return
-	}
-	// Drop literals already false at level 0; detect satisfied clauses.
-	out := norm[:0]
-	for _, l := range norm {
-		switch s.value(l) {
-		case lTrue:
-			return // already satisfied forever
-		case lUndef:
-			out = append(out, l)
-		}
 	}
 	switch len(out) {
 	case 0:
@@ -340,6 +316,30 @@ func (s *Solver) AddClause(c cnf.Clause) {
 	s.clauses = append(s.clauses, cl)
 	s.attach(cl)
 	s.addBinOcc(cl)
+}
+
+// reduceAtRoot normalizes c in place against the level-0 assignment,
+// growing the variable arrays to cover it: duplicate literals merge and
+// literals false at level 0 drop. keep is false for a tautology and for a
+// clause already satisfied at level 0, which need not be stored.
+func (s *Solver) reduceAtRoot(c cnf.Clause) (out cnf.Clause, keep bool) {
+	if v := int(c.MaxVar()); v > s.nVars {
+		s.ensureVars(v)
+	}
+	norm, taut := c.Normalize()
+	if taut {
+		return nil, false
+	}
+	out = norm[:0]
+	for _, l := range norm {
+		switch s.value(l) {
+		case lTrue:
+			return nil, false
+		case lUndef:
+			out = append(out, l)
+		}
+	}
+	return out, true
 }
 
 // attach registers a clause in its tier: binary clauses go to the

@@ -263,25 +263,16 @@ func (s *Server) handlePutFormula(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorReply{Error: fmt.Sprintf("parse: %v", err)})
 		return
 	}
-	if err := s.admitFormula(f); err != nil {
-		writeError(w, err)
-		return
-	}
 	e := &formulaEntry{
-		id:       id,
-		vars:     f.NumVars,
-		clauses:  f.NumClauses(),
-		created:  time.Now(),
-		simplify: !s.cfg.SkipSimplify,
+		id:      id,
+		vars:    f.NumVars,
+		clauses: f.NumClauses(),
+		created: time.Now(),
 	}
 	// Parsing and preprocessing are paid here, once; every query on this
 	// formula starts from the snapshot.
-	front := berkmin.New()
-	if e.simplify {
-		so := berkmin.DefaultSimplifyOptions()
-		front.SetSimplify(&so)
-	}
-	if err := front.AddFormula(f); err != nil && !errors.Is(err, berkmin.ErrSolverDead) {
+	front, err := s.loadFormula(f, nil)
+	if err != nil {
 		writeError(w, err)
 		return
 	}
@@ -368,21 +359,12 @@ func (s *Server) handleSolveOneShot(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorReply{Error: fmt.Sprintf("parse: %v", err)})
 		return
 	}
-	if err := s.admitFormula(f); err != nil {
-		writeError(w, err)
-		return
-	}
-	solver := berkmin.New()
 	var proof *bytes.Buffer
 	if req.Proof {
 		proof = &bytes.Buffer{}
-		solver.SetProofWriter(proof)
 	}
-	if !s.cfg.SkipSimplify {
-		so := berkmin.DefaultSimplifyOptions()
-		solver.SetSimplify(&so)
-	}
-	if err := solver.AddFormula(f); err != nil && !errors.Is(err, berkmin.ErrSolverDead) {
+	solver, err := s.loadFormula(f, proof)
+	if err != nil {
 		writeError(w, err)
 		return
 	}
@@ -431,18 +413,10 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			writeJSON(w, http.StatusBadRequest, errorReply{Error: fmt.Sprintf("parse: %v", err)})
 			return
 		}
-		if err := s.admitFormula(f); err != nil {
-			writeError(w, err)
-			return
-		}
 		// Parse and preprocess once for the whole batch — the
 		// amortization this endpoint exists for.
-		front := berkmin.New()
-		if !s.cfg.SkipSimplify {
-			so := berkmin.DefaultSimplifyOptions()
-			front.SetSimplify(&so)
-		}
-		if err := front.AddFormula(f); err != nil && !errors.Is(err, berkmin.ErrSolverDead) {
+		front, err := s.loadFormula(f, nil)
+		if err != nil {
 			writeError(w, err)
 			return
 		}
@@ -504,13 +478,27 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 
 // ---- Helpers -------------------------------------------------------------
 
-// admitFormula enforces the configured size limits.
-func (s *Server) admitFormula(f *berkmin.Formula) error {
+// loadFormula enforces the configured size limits and loads f into a new
+// front-end solver, preprocessed unless SkipSimplify is set, logging a
+// DRUP proof to proof when it is non-nil. A formula found UNSAT while
+// loading is not an error: the solve reports it.
+func (s *Server) loadFormula(f *berkmin.Formula, proof *bytes.Buffer) (*berkmin.Solver, error) {
 	if (s.cfg.MaxVars > 0 && f.NumVars > s.cfg.MaxVars) ||
 		(s.cfg.MaxClauses > 0 && f.NumClauses() > s.cfg.MaxClauses) {
-		return ErrFormulaTooLarge
+		return nil, ErrFormulaTooLarge
 	}
-	return nil
+	solver := berkmin.New()
+	if proof != nil {
+		solver.SetProofWriter(proof)
+	}
+	if !s.cfg.SkipSimplify {
+		so := berkmin.DefaultSimplifyOptions()
+		solver.SetSimplify(&so)
+	}
+	if err := solver.AddFormula(f); err != nil && !errors.Is(err, berkmin.ErrSolverDead) {
+		return nil, err
+	}
+	return solver, nil
 }
 
 // requestContext derives the job context: the request's (so a client

@@ -12,13 +12,12 @@ import (
 // and preprocessing exactly once (at PUT time), and the Pool recycles warm
 // solvers across the formula's assumption queries.
 type formulaEntry struct {
-	id       string
-	snap     *berkmin.Snapshot
-	pool     *berkmin.Pool
-	vars     int
-	clauses  int
-	created  time.Time
-	simplify bool
+	id      string
+	snap    *berkmin.Snapshot
+	pool    *berkmin.Pool
+	vars    int
+	clauses int
+	created time.Time
 }
 
 // store is the concurrency-safe formula registry. Pool counters of retired
