@@ -119,6 +119,14 @@ type Solver struct {
 	proofW   io.Writer
 	maxTime  time.Duration // Options.MaxTime, also bounding preprocessing
 
+	// Pool recycling (snapshot.go): inherited is the number of clause
+	// groups this solver was cloned with, and tempClauses counts what the
+	// pristine mirror gained for groups minted since — their clauses and
+	// release units. Any other growth of the mirror (AddClause, AddFormula,
+	// a change to an inherited group) means the formula diverged.
+	inherited   core.GroupID
+	tempClauses int
+
 	// Preprocessing state (SetSimplify). When enabled, clauses are held
 	// back from the core engine until the first solve, which preprocesses
 	// the accumulated formula and feeds the core the simplified form. The

@@ -30,7 +30,7 @@
 // Usage:
 //
 //	go run ./cmd/benchguard -anchor HEAD~1 ./internal/core
-//	go run ./cmd/benchguard -anchor 28c79c1 -out bench-report.json ./internal/core ./internal/bench
+//	go run ./cmd/benchguard -anchor 0b69611 -out bench-report.json ./internal/core ./internal/bench
 package main
 
 import (

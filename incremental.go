@@ -52,6 +52,7 @@ func (s *Solver) AddClauseGroup(g Group, lits ...int) error {
 	// verification and ProofFormula exact.
 	ext := append(c.Clone(), s.core.GroupLit(g).Not())
 	s.pristine.Add(ext)
+	s.countTemp(g)
 	s.core.AddGroupClause(g, c)
 	if wasDead {
 		return ErrSolverDead
@@ -69,6 +70,15 @@ func (s *Solver) ReleaseGroup(g Group) {
 		// The release unit is an axiom of the verification formula (the
 		// core logs it as a DRUP addition); record it exactly once.
 		s.pristine.Add(cnf.Clause{s.core.GroupLit(g).Not()})
+		s.countTemp(g)
+	}
+}
+
+// countTemp notes a pristine clause recorded for group g: one a Pool can
+// drop again if g was minted after this solver was cloned.
+func (s *Solver) countTemp(g Group) {
+	if g > s.inherited {
+		s.tempClauses++
 	}
 }
 

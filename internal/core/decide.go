@@ -337,6 +337,14 @@ func (d *berkminDecider) rebuild(n int) {
 	}
 }
 
+func (d *berkminDecider) truncate(n int) {
+	d.varAct = d.varAct[:n+1]
+	d.litAct = d.litAct[:2*n+2]
+	d.chaffAct = d.chaffAct[:2*n+2]
+	d.order.shrink(n + 1)
+	d.litOrder.shrink(2*n + 2)
+}
+
 // rearmHeaps rebuilds (or tears down) the pick heaps required by the
 // current options, over the current activity values.
 func (d *berkminDecider) rearmHeaps() {

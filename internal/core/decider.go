@@ -47,6 +47,10 @@ type decider interface {
 	// rebuild grows the per-variable and per-literal state to cover
 	// variables 1..n, registering the new variables for selection.
 	rebuild(n int)
+	// truncate cuts the per-variable and per-literal state back to
+	// variables 1..n, keeping capacity (Solver.DropGroups). The pick
+	// structures are left empty for the reset that must follow.
+	truncate(n int)
 	// reset restarts the heuristic lifetime: activities cleared, schedules
 	// re-armed, selection structures rebuilt (Solver.Reset).
 	reset()

@@ -124,6 +124,11 @@ func (d *evsidsDecider) rebuild(n int) {
 	}
 }
 
+func (d *evsidsDecider) truncate(n int) {
+	d.act = d.act[:n+1]
+	d.order.shrink(n + 1)
+}
+
 func (d *evsidsDecider) rearmHeap() {
 	d.order.clear()
 	for v := cnf.Var(1); int(v) <= d.s.nVars; v++ {

@@ -51,6 +51,10 @@ func (s *Solver) NewGroup() GroupID {
 	return g
 }
 
+// NumGroups returns the number of groups minted so far, released ones
+// included; GroupIDs run from 1 to NumGroups.
+func (s *Solver) NumGroups() int { return len(s.groups) }
+
 // GroupLit returns the group's activation literal (true while the group is
 // live). Front ends use it to mirror the extended clauses into the formula
 // a DRUP trace verifies against.
@@ -88,6 +92,7 @@ func (s *Solver) ReleaseGroup(g GroupID) bool {
 	}
 	info.released = true
 	s.pendingReleases++
+	s.simpTrail = -1
 	if !s.ok {
 		return true
 	}
@@ -133,7 +138,7 @@ func (s *Solver) reapReleased() {
 	}
 	s.maybeGC()
 	s.rebuildWatches()
-	s.rebuildBinOcc()
+	s.refreshBinOcc()
 	s.recountTiers()
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"math/rand"
 	"testing"
 
 	"berkmin/internal/cnf"
@@ -350,6 +351,86 @@ func TestGroupsSurviveCloneReset(t *testing.T) {
 	}
 	if s.GroupReleased(g) {
 		t.Fatal("master's group marked released by the clone")
+	}
+}
+
+// TestDropGroups recycles one clone of a master (which holds a group of its
+// own) through rounds of temp groups, fresh variables and queries under
+// every decider family: after each DropGroups the solver is back at the
+// master's group and variable counts, every structure passes
+// checkInvariants (nothing names a dropped variable), the master's group
+// is still enforced, and every query answers like a fresh clone given the
+// same temp groups.
+func TestDropGroups(t *testing.T) {
+	for name, opt := range map[string]Options{
+		"berkmin": DefaultOptions(),
+		"evsids":  EvsidsOptions(),
+		"lrb":     LrbOptions(),
+		"tiered":  churnOptions(),
+	} {
+		t.Run(name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(11))
+			master := New(opt)
+			for i := 0; i < 90; i++ {
+				master.AddClause(cnf.Clause{
+					cnf.MkLit(cnf.Var(1+rng.Intn(30)), rng.Intn(2) == 0),
+					cnf.MkLit(cnf.Var(1+rng.Intn(30)), rng.Intn(2) == 0),
+					cnf.MkLit(cnf.Var(1+rng.Intn(30)), rng.Intn(2) == 0),
+				})
+			}
+			held := master.NewGroup()
+			master.AddGroupClause(held, cnf.NewClause(-1, -2))
+			n, keep := master.NumVars(), master.NumGroups()
+
+			w := master.Clone()
+			for round := 0; round < 12; round++ {
+				fresh := master.Clone()
+				var temps []GroupID
+				for k := 0; k < 1+round%3; k++ {
+					g, fg := w.NewGroup(), fresh.NewGroup()
+					for j := 0; j < 2; j++ {
+						c := cnf.Clause{
+							cnf.MkLit(cnf.Var(1+rng.Intn(n)), rng.Intn(2) == 0),
+							cnf.MkLit(cnf.Var(1+rng.Intn(n+4)), rng.Intn(2) == 0), // may name a fresh variable
+						}
+						w.AddGroupClause(g, c)
+						fresh.AddGroupClause(fg, c)
+					}
+					temps = append(temps, g)
+				}
+				if round%2 == 1 {
+					w.ReleaseGroup(temps[0])
+					fresh.ReleaseGroup(temps[0])
+				}
+				assumps := []cnf.Lit{
+					cnf.MkLit(cnf.Var(1+rng.Intn(n)), rng.Intn(2) == 0),
+					cnf.MkLit(cnf.Var(n+10+round), false), // a variable beyond every group's
+				}
+				r, fr := w.SolveAssuming(assumps), fresh.SolveAssuming(assumps)
+				if r.Status != fr.Status {
+					t.Fatalf("round %d: recycled %v, fresh clone %v", round, r.Status, fr.Status)
+				}
+				if !w.DropGroups(keep, n) {
+					t.Fatalf("round %d: DropGroups refused a live solver (answer %v, dead %v)", round, r.Status, w.Dead())
+				}
+				if w.NumVars() != n || w.NumGroups() != keep {
+					t.Fatalf("round %d: %d variables, %d groups after DropGroups, want %d and %d",
+						round, w.NumVars(), w.NumGroups(), n, keep)
+				}
+				checkInvariants(t, w)
+				if w.GroupReleased(held) {
+					t.Fatalf("round %d: the master's group was released", round)
+				}
+				if l := w.GroupLit(held); w.value(l) != lUndef {
+					t.Fatalf("round %d: the master's activation literal is fixed at level 0", round)
+				}
+			}
+			// The held group still bites: with x1 and x2 both assumed it
+			// forbids them together.
+			if r := w.SolveAssuming([]cnf.Lit{cnf.PosLit(1), cnf.PosLit(2)}); r.Status != StatusUnsat {
+				t.Fatalf("held group not enforced after recycling: %v", r.Status)
+			}
+		})
 	}
 }
 

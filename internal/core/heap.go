@@ -20,44 +20,72 @@ type actHeap[I ~int32, K activityKey] struct {
 	pos  []int32 // pos[x] is index+1 in heap, 0 = absent
 }
 
-func (h *actHeap[I, K]) less(i, j int) bool {
-	a := *h.act
-	return a[h.heap[i]] > a[h.heap[j]]
-}
-
-func (h *actHeap[I, K]) swap(i, j int) {
-	h.heap[i], h.heap[j] = h.heap[j], h.heap[i]
-	h.pos[h.heap[i]] = int32(i + 1)
-	h.pos[h.heap[j]] = int32(j + 1)
-}
+// up and down sift by moving a hole rather than swapping: the element
+// being placed is held aside while the entries it passes shift one level,
+// and it is written once where it stops (not at all when it stays, since
+// every caller has already stored it at i with its pos). They make the
+// same key comparisons in the same order as a swap-based sift, so every
+// pop — ties included — is what the swap version would return
+// (TestActHeapMatchesSwapSift pins this).
 
 func (h *actHeap[I, K]) up(i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !h.less(i, parent) {
-			return
-		}
-		h.swap(i, parent)
-		i = parent
+	if i == 0 {
+		return
 	}
+	act, heap := *h.act, h.heap
+	x := heap[i]
+	k := act[x]
+	parent := (i - 1) / 2
+	if !(k > act[heap[parent]]) {
+		return
+	}
+	pos := h.pos
+	for {
+		p := heap[parent]
+		heap[i] = p
+		pos[p] = int32(i + 1)
+		i = parent
+		if i == 0 {
+			break
+		}
+		parent = (i - 1) / 2
+		if !(k > act[heap[parent]]) {
+			break
+		}
+	}
+	heap[i] = x
+	pos[x] = int32(i + 1)
 }
 
 func (h *actHeap[I, K]) down(i int) {
-	n := len(h.heap)
+	act, heap, pos := *h.act, h.heap, h.pos
+	n := len(heap)
+	x := heap[i]
+	k := act[x]
+	start := i
 	for {
-		l, r := 2*i+1, 2*i+2
-		best := i
-		if l < n && h.less(l, best) {
-			best = l
+		l := 2*i + 1
+		if l >= n {
+			break
 		}
-		if r < n && h.less(r, best) {
+		best, bk := l, act[heap[l]]
+		if !(bk > k) {
+			best, bk = i, k
+		}
+		if r := l + 1; r < n && act[heap[r]] > bk {
 			best = r
 		}
 		if best == i {
-			return
+			break
 		}
-		h.swap(i, best)
+		c := heap[best]
+		heap[i] = c
+		pos[c] = int32(i + 1)
 		i = best
+	}
+	if i != start {
+		heap[i] = x
+		pos[x] = int32(i + 1)
 	}
 }
 
@@ -112,6 +140,13 @@ func (h *actHeap[I, K]) remove(x I) {
 func (h *actHeap[I, K]) clear() {
 	h.heap = h.heap[:0]
 	clear(h.pos)
+}
+
+// shrink empties the heap and cuts its index to n entries, keeping the
+// backing storage for a later grow.
+func (h *actHeap[I, K]) shrink(n int) {
+	h.clear()
+	h.pos = h.pos[:min(len(h.pos), n)]
 }
 
 // pop removes and returns the most active element, or 0 if empty.

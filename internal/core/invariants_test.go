@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"berkmin/internal/cnf"
@@ -26,10 +27,17 @@ import (
 //     carry a real implying literal;
 //   - the per-literal value array is consistent: vals[2v] == -vals[2v+1]
 //     for every variable, every trail literal is true, and exactly
-//     len(trail) variables are assigned.
+//     len(trail) variables are assigned;
+//   - nothing names a variable above NumVars: the per-variable and
+//     per-literal arrays have exactly the NumVars length, and no trail
+//     entry, clause, watch, heap entry, group or groupOf key goes beyond
+//     it (DropGroups shrinks them all together);
+//   - while binOccStale is clear, the binary-partner lists equal a fresh
+//     rebuild, order included.
 func checkInvariants(t testing.TB, s *Solver) {
 	t.Helper()
 	checkValues(t, s)
+	checkVarRange(t, s)
 	if !s.ok {
 		// Level-0 UNSAT tears the pass down mid-flight (early returns skip
 		// the rebuilds and recounts on purpose): the solver is dead and
@@ -89,6 +97,9 @@ func checkInvariants(t testing.TB, s *Solver) {
 			}
 		}
 	}
+	if !s.binOccStale {
+		checkBinOcc(t, s)
+	}
 	binEntries := 0
 	for l, ws := range s.binWatches {
 		for _, w := range ws {
@@ -125,6 +136,115 @@ func checkInvariants(t testing.TB, s *Solver) {
 			if s.ca.deleted(r) {
 				t.Fatalf("invariant: x%d's reason clause %d is tombstoned", v, r)
 			}
+		}
+	}
+}
+
+// checkBinOcc asserts that binOcc is what rebuildBinOcc would produce
+// from the current problem clauses, partner order included (nbTwo's early
+// exit depends on it).
+func checkBinOcc(t testing.TB, s *Solver) {
+	t.Helper()
+	want := make([][]cnf.Lit, len(s.binOcc))
+	for _, c := range s.clauses {
+		if lits := s.ca.lits(c); len(lits) == 2 {
+			want[lits[0]] = append(want[lits[0]], lits[1])
+			want[lits[1]] = append(want[lits[1]], lits[0])
+		}
+	}
+	for l := range want {
+		if !slices.Equal(s.binOcc[l], want[l]) {
+			t.Fatalf("invariant: binOccStale clear but binOcc[%v] = %v, a rebuild gives %v",
+				cnf.Lit(l), s.binOcc[l], want[l])
+		}
+	}
+}
+
+// checkVarRange asserts that no solver structure names a variable above
+// NumVars and that every per-variable and per-literal array covers exactly
+// the variables 1..NumVars.
+func checkVarRange(t testing.TB, s *Solver) {
+	t.Helper()
+	n := s.nVars
+	for name, got := range map[string]int{
+		"vlevel": len(s.vlevel), "reason": len(s.reason), "binReason": len(s.binReason),
+		"seen": len(s.seen), "phase": len(s.phase),
+	} {
+		if got != n+1 && (n > 0 || got > 0) {
+			t.Fatalf("invariant: len(%s) = %d with %d variables", name, got, n)
+		}
+	}
+	for name, got := range map[string]int{
+		"vals": len(s.vals), "watches": len(s.watches), "binWatches": len(s.binWatches), "binOcc": len(s.binOcc),
+	} {
+		if got != 2*n+2 && (n > 0 || got > 0) {
+			t.Fatalf("invariant: len(%s) = %d with %d variables", name, got, n)
+		}
+	}
+	litOK := func(l cnf.Lit) bool { return l.Var() >= 1 && int(l.Var()) <= n }
+	for i, l := range s.trail {
+		if !litOK(l) {
+			t.Fatalf("invariant: trail[%d] = %v names a variable above %d", i, l, n)
+		}
+	}
+	for _, list := range [][]clauseRef{s.clauses, s.learnts} {
+		for _, c := range list {
+			if s.ca.deleted(c) {
+				continue // reported by checkInvariants
+			}
+			for _, l := range s.ca.lits(c) {
+				if !litOK(l) {
+					t.Fatalf("invariant: clause %d = %v names a variable above %d", c, s.ca.lits(c), n)
+				}
+			}
+		}
+	}
+	for l, ws := range s.watches {
+		for _, w := range ws {
+			if !litOK(w.blocker) {
+				t.Fatalf("invariant: watches[%v] blocker %v names a variable above %d", cnf.Lit(l), w.blocker, n)
+			}
+		}
+	}
+	for l, ws := range s.binWatches {
+		for _, w := range ws {
+			if !litOK(w.other) {
+				t.Fatalf("invariant: binWatches[%v] partner %v names a variable above %d", cnf.Lit(l), w.other, n)
+			}
+		}
+	}
+	for l, occ := range s.binOcc {
+		for _, p := range occ {
+			if !litOK(p) {
+				t.Fatalf("invariant: binOcc[%v] partner %v names a variable above %d", cnf.Lit(l), p, n)
+			}
+		}
+	}
+	var heapVars []cnf.Var
+	switch d := s.dec.(type) {
+	case *berkminDecider:
+		heapVars = append(heapVars, d.order.heap...)
+		for _, l := range d.litOrder.heap {
+			heapVars = append(heapVars, l.Var())
+		}
+	case *evsidsDecider:
+		heapVars = d.order.heap
+	case *lrbDecider:
+		heapVars = d.order.heap
+	}
+	for _, v := range heapVars {
+		if v < 1 || int(v) > n {
+			t.Fatalf("invariant: pick heap holds x%d with %d variables", v, n)
+		}
+	}
+	for i, g := range s.groups {
+		if int(g.act) > n {
+			t.Fatalf("invariant: group %d's activation variable x%d is above %d", i+1, g.act, n)
+		}
+	}
+	for v := range s.groupOf {
+		if int(v) > n {
+			t.Fatalf("invariant: groupOf holds x%d with %d variables", v, n)
 		}
 	}
 }

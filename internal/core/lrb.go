@@ -154,6 +154,16 @@ func (d *lrbDecider) rebuild(n int) {
 	}
 }
 
+// truncate also pulls the stamp position back within the shortened trail;
+// the reset that follows restamps it.
+func (d *lrbDecider) truncate(n int) {
+	d.act = d.act[:n+1]
+	d.assignedAt = d.assignedAt[:n+1]
+	d.participated = d.participated[:n+1]
+	d.stamped = min(d.stamped, len(d.s.trail))
+	d.order.shrink(n + 1)
+}
+
 // rearmHeap stamps, then rebuilds the pick heap over the unassigned
 // variables only (retained level-0 assignments must stay out).
 func (d *lrbDecider) rearmHeap() {

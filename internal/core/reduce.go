@@ -28,9 +28,11 @@ func (s *Solver) reduceDB() {
 		s.proofEmpty()
 		return
 	}
-	s.simplifyLevel0()
-	if !s.ok {
-		return
+	if len(s.trail) != s.simpTrail {
+		s.simplifyLevel0()
+		if !s.ok {
+			return
+		}
 	}
 
 	switch s.opt.Reduce {
@@ -56,7 +58,7 @@ func (s *Solver) reduceDB() {
 
 	s.maybeGC()
 	s.rebuildWatches()
-	s.rebuildBinOcc()
+	s.refreshBinOcc()
 	// Every structural change above went through this pass, so one arena
 	// walk makes the tier gauges authoritative again (simplification and
 	// subsumption free learnt clauses without touching the gauges).
@@ -69,8 +71,11 @@ func (s *Solver) reduceDB() {
 
 // simplifyLevel0 removes clauses satisfied at level 0 and strips literals
 // false at level 0, over both problem and learnt clauses. Clauses reduced
-// to units become retained level-0 assignments.
+// to units become retained level-0 assignments. Units found here are only
+// enqueued, so simpTrail records the trail length the pass started from:
+// the units make the next reduceDB run it again.
 func (s *Solver) simplifyLevel0() {
+	s.simpTrail = len(s.trail)
 	s.clearLevel0Reasons()
 	s.clauses = s.simplifySlice(s.clauses)
 	if !s.ok {
@@ -115,6 +120,9 @@ clauses:
 			switch s.value(l) {
 			case lTrue:
 				s.stats.SimplifiedSat++
+				if len(lits) == 2 && !s.ca.learnt(c) {
+					s.binOccStale = true
+				}
 				s.proofDelete(lits)
 				s.ca.free(c)
 				continue clauses
@@ -138,6 +146,9 @@ clauses:
 				}
 			}
 			s.stats.StrippedLits += uint64(n - len(out))
+			if (n == 2 || len(out) == 2) && !s.ca.learnt(c) {
+				s.binOccStale = true
+			}
 			// Proof: the strengthened clause is RUP given the level-0
 			// units; log it before retiring the original.
 			s.proofAdd(out)

@@ -42,6 +42,15 @@ import (
 // only compacted when enough learnt-clause space was freed to matter
 // (see BenchmarkReset).
 func (s *Solver) Reset() {
+	s.dropSearch()
+	s.rebuildPostLoad()
+}
+
+// dropSearch is Reset's first half: it abandons the search (interrupt,
+// queued imports, decision levels) at the level-0 fixpoint and frees every
+// learnt clause. The watch lists still name the freed clauses until
+// rebuildPostLoad.
+func (s *Solver) dropSearch() {
 	s.ClearInterrupt()
 	// Queued foreign clauses belong to the search being abandoned; drop
 	// them rather than integrate them into the fresh lifetime.
@@ -71,15 +80,22 @@ func (s *Solver) Reset() {
 		s.ca.free(c)
 	}
 	s.learnts = s.learnts[:0]
+}
 
+// rebuildPostLoad is Reset's second half: a new Stats lifetime, the watch
+// (and, if stale, binary-partner) lists rebuilt over the problem clauses,
+// and the search-plane and heuristic state of a fresh construction.
+func (s *Solver) rebuildPostLoad() {
 	// New Stats lifetime. Zero before the rebuilds so the BinClauses gauge
-	// and any arena compaction are accounted to it.
+	// and any arena compaction are accounted to it. With the learnt stack
+	// empty the zeroed tier gauges are already exact, and the binary
+	// partner lists only need a rebuild if a problem binary changed.
 	s.stats = Stats{}
 	s.maybeGC()
 	s.rebuildWatches()
-	s.rebuildBinOcc()
-	s.recountTiers()
+	s.refreshBinOcc()
 	s.notePeak()
+	s.simpTrail = -1
 
 	// Search-plane per-variable and per-literal state (lUndef is the zero
 	// lbool, so clear resets phases too).
@@ -93,6 +109,88 @@ func (s *Solver) Reset() {
 	s.dec.reset()
 
 	s.resetPolicyState()
+}
+
+// DropGroups is Reset for a solver whose only change since it was derived
+// is clause groups it minted: every group above the first keep is released
+// and its clauses reaped, every variable above nVars is forgotten, and the
+// solver is then reset as by Reset — with one watch rebuild for both. The
+// level-0 trail entries of the dropped variables are removed, and the
+// per-variable and per-literal arrays, the decider, the group table and
+// groupOf shrink by length with their capacity kept, so minting the same
+// groups again allocates no per-variable storage. The variables above
+// nVars must be the dropped groups' activation variables or variables
+// that only their clauses (or assumptions) mention; snapshot pools recycle
+// temp-group query solvers through it.
+//
+// It reports false, and does not reset, when the solver is or becomes dead
+// (level-0 UNSAT): such a solver is to be discarded. Must be called
+// between Solve calls.
+func (s *Solver) DropGroups(keep, nVars int) bool {
+	if !s.ok {
+		return false
+	}
+	s.cancelUntil(0)
+	for g := keep + 1; g <= len(s.groups); g++ {
+		s.ReleaseGroup(GroupID(g))
+	}
+	if !s.ok {
+		return false
+	}
+	s.dropSearch()
+	if !s.ok {
+		return false
+	}
+	// With the learnt stack empty, the level-0 pass reaps exactly the
+	// released groups' clauses (and anything the query's units satisfied).
+	s.simplifyLevel0()
+	if !s.ok {
+		return false
+	}
+	s.pendingReleases = 0
+	for _, info := range s.groups[keep:] {
+		delete(s.groupOf, info.act)
+	}
+	s.groups = s.groups[:keep]
+	s.truncateVars(nVars)
+	s.rebuildPostLoad()
+	return true
+}
+
+// truncateVars forgets every variable above n: their level-0 trail entries
+// are removed (units the simplification pass left unpropagated stay
+// pending) and every per-variable and per-literal array is cut back by
+// length, keeping capacity. No clause may mention a variable above n, and
+// the watch lists must be rebuilt before the next propagation.
+func (s *Solver) truncateVars(n int) {
+	if n >= s.nVars {
+		return
+	}
+	kept, qhead := s.trail[:0], 0
+	for i, l := range s.trail {
+		if int(l.Var()) > n {
+			continue
+		}
+		kept = append(kept, l)
+		if i < s.qhead {
+			qhead++
+		}
+	}
+	s.trail, s.qhead = kept, qhead
+	s.simpTrail = -1
+
+	s.nVars = n
+	s.vlevel = s.vlevel[:n+1]
+	s.reason = s.reason[:n+1]
+	s.binReason = s.binReason[:n+1]
+	s.seen = s.seen[:n+1]
+	s.phase = s.phase[:n+1]
+	s.glueSeen = s.glueSeen[:min(len(s.glueSeen), n+1)]
+	s.vals = s.vals[:2*n+2]
+	s.watches = s.watches[:2*n+2]
+	s.binWatches = s.binWatches[:2*n+2]
+	s.binOcc = s.binOcc[:2*n+2]
+	s.dec.truncate(n)
 }
 
 // resetPolicyState arms everything derived from the Options — restart
@@ -152,17 +250,43 @@ func (s *Solver) resetPolicyState() {
 // call SetProofWriter on the clone if needed), no learnt-export hook, no
 // queued imports, no pending Interrupt and no debug hooks.
 func (s *Solver) Clone() *Solver {
+	c := s.clone()
+	c.binWatches = cloneLists(s.binWatches)
+	c.binOcc = cloneLists(s.binOcc)
+	return c
+}
+
+// CloneFrozen is Clone for a solver that never changes again, such as a
+// snapshot's base. The clone reads the original's binary-clause lists
+// (binWatches, binOcc) in place and copies them only before its first
+// change to them: propagation and nbTwo only read them, so a short query
+// that learns no binary clause and restores none never pays for the copy.
+// It writes nothing to the original, so a frozen solver may be cloned
+// from several goroutines at once.
+func (s *Solver) CloneFrozen() *Solver {
+	c := s.clone()
+	c.binWatches, c.binOcc = s.binWatches, s.binOcc
+	c.binWatchesShared, c.binOccShared = true, true
+	return c
+}
+
+// clone copies everything but the binary-clause lists, which Clone and
+// CloneFrozen fill in.
+func (s *Solver) clone() *Solver {
+	// The arena gets a little headroom: a clone's first solve appends
+	// learnt and restored clauses, and an arena sized to its length would
+	// be copied whole by the first of them.
+	arena := make([]uint32, len(s.ca.data), len(s.ca.data)+len(s.ca.data)/16+64)
+	copy(arena, s.ca.data)
 	c := &Solver{
 		opt: s.opt,
 
 		nVars:   s.nVars,
-		ca:      clauseArena{data: append([]uint32(nil), s.ca.data...), wasted: s.ca.wasted},
+		ca:      clauseArena{data: arena, wasted: s.ca.wasted},
 		clauses: append([]clauseRef(nil), s.clauses...),
 		learnts: append([]clauseRef(nil), s.learnts...),
 
-		watches:    cloneLists(s.watches),
-		binWatches: cloneLists(s.binWatches),
-		binOcc:     cloneLists(s.binOcc),
+		watches: cloneLists(s.watches),
 
 		vals:      append([]lbool(nil), s.vals...),
 		vlevel:    append([]int32(nil), s.vlevel...),
@@ -186,6 +310,9 @@ func (s *Solver) Clone() *Solver {
 		postponeStreak: s.postponeStreak,
 
 		tieredTarget: s.tieredTarget,
+
+		binOccStale: s.binOccStale,
+		simpTrail:   -1,
 
 		groups:          append([]groupInfo(nil), s.groups...),
 		pendingReleases: s.pendingReleases,
@@ -259,6 +386,24 @@ func (s *Solver) Reconfigure(opt Options) {
 		// and LRB's reward averages.
 		s.dec = newDecider(s)
 		s.dec.rebuild(s.nVars)
+	}
+}
+
+// ownBinWatches gives the solver its own copy of binWatches if
+// CloneFrozen left them shared; every change to the lists goes through it
+// first.
+func (s *Solver) ownBinWatches() {
+	if s.binWatchesShared {
+		s.binWatches = cloneLists(s.binWatches)
+		s.binWatchesShared = false
+	}
+}
+
+// ownBinOcc is ownBinWatches for binOcc.
+func (s *Solver) ownBinOcc() {
+	if s.binOccShared {
+		s.binOcc = cloneLists(s.binOcc)
+		s.binOccShared = false
 	}
 }
 

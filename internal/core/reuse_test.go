@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"unsafe"
@@ -263,6 +264,60 @@ func TestConcurrentClones(t *testing.T) {
 			t.Fatalf("clone %d answered %v", i, st)
 		}
 	}
+}
+
+// TestCloneFrozenCopyOnWrite checks CloneFrozen's contract: clones taken
+// concurrently from one frozen solver read its binary-clause lists in
+// place, copy them before their first change, and leave the original's
+// lists exactly as they were however much the clones add, learn and reset.
+func TestCloneFrozenCopyOnWrite(t *testing.T) {
+	master := New(TieredOptions())
+	master.AddFormula(pigeonhole(6))
+	wantWatches, wantOcc := cloneLists(master.binWatches), cloneLists(master.binOcc)
+
+	const n = 6
+	workers := make([]*Solver, n)
+	shared := make([]bool, n)
+	results := make([]Status, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			w := master.CloneFrozen()
+			shared[i] = w.binWatchesShared && w.binOccShared &&
+				sliceShares(w.binWatches, master.binWatches) && sliceShares(w.binOcc, master.binOcc)
+			// A new binary problem clause changes both lists; the search
+			// learns and detaches more, and Reset rebuilds them.
+			w.AddClause(cnf.Clause{cnf.NegLit(cnf.Var(i + 1)), cnf.NegLit(cnf.Var(i + 8))})
+			results[i] = w.Solve().Status
+			if i%2 == 1 {
+				w.Reset()
+				results[i] = w.Solve().Status
+			}
+			workers[i] = w
+		}(i)
+	}
+	wg.Wait()
+	for i, w := range workers {
+		if !shared[i] {
+			t.Fatalf("clone %d did not start on the frozen solver's binary lists", i)
+		}
+		if results[i] != StatusUnsat {
+			t.Fatalf("clone %d answered %v", i, results[i])
+		}
+		if w.binWatchesShared || w.binOccShared ||
+			sliceShares(w.binWatches, master.binWatches) || sliceShares(w.binOcc, master.binOcc) {
+			t.Fatalf("clone %d changed its binary lists without copying them", i)
+		}
+		checkInvariants(t, w)
+	}
+	for l := range wantWatches {
+		if !slices.Equal(master.binWatches[l], wantWatches[l]) || !slices.Equal(master.binOcc[l], wantOcc[l]) {
+			t.Fatalf("a clone's change reached the frozen solver's binary lists at literal %v", cnf.Lit(l))
+		}
+	}
+	checkInvariants(t, master)
 }
 
 // TestResetProofContinuity checks that one DRUP trace spanning a Reset

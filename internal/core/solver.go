@@ -99,6 +99,23 @@ type Solver struct {
 	// or strengthened to binary by simplification and inprocessing migrate
 	// via the wholesale rebuild those passes already end with.
 	binOcc [][]cnf.Lit
+	// binOccStale is set when binOcc may differ from what rebuildBinOcc
+	// would produce — a binary problem clause was removed, or a problem
+	// clause shrank to or from two literals — and cleared by the rebuild.
+	// Reset and the database passes skip the rebuild while it is clear, so
+	// an unchanged binary set keeps the rebuilt order nbTwo's early exit
+	// depends on. (AddClause's append keeps that order, so it leaves the
+	// flag alone.)
+	binOccStale bool
+	// simpTrail is the level-0 trail length when simplifyLevel0 last
+	// started; -1 re-arms the pass. reduceDB skips simplifyLevel0 while the
+	// trail still has that length: only a new level-0 unit can satisfy or
+	// shorten a clause, since learnt, imported and added clauses never
+	// carry a level-0 literal. Whatever changes the clause set or the
+	// trail outside search (AddClause, ReleaseGroup, Reset, Clone,
+	// DropGroups) re-arms it anyway, so the skip never rests on that
+	// argument alone across a lifecycle step.
+	simpTrail int
 
 	ok bool // false once UNSAT is established at level 0 (a formula property)
 
@@ -116,6 +133,12 @@ type Solver struct {
 	// them (in place, reusing the backing storage) rather than keeping them.
 	watches    [][]watcher    // watches[l]: clauses of >= 3 literals currently watching literal l
 	binWatches [][]binWatcher // binWatches[l]: live binary clauses (l ∨ other); falsifying l implies other
+
+	// binWatchesShared and binOccShared mark binWatches and binOcc as
+	// still read in place from the frozen solver this one was cloned from
+	// (CloneFrozen); ownBinWatches and ownBinOcc copy them before the
+	// first change.
+	binWatchesShared, binOccShared bool
 
 	// ---- Search plane: accumulated by the CDCL loop; dropped by Reset.
 	learnts []clauseRef // conflict-clause stack, index = age, top = end
@@ -253,10 +276,30 @@ func (s *Solver) ensureVars(n int) {
 	s.glueSeen = appendN(s.glueSeen, add, 0)
 	addLit := 2*n + 2 - len(s.watches)
 	s.vals = appendN(s.vals, addLit, lUndef)
-	s.watches = appendN(s.watches, addLit, nil)
-	s.binWatches = appendN(s.binWatches, addLit, nil)
-	s.binOcc = appendN(s.binOcc, addLit, nil)
+	s.ownBinWatches()
+	s.ownBinOcc()
+	s.watches = extendLists(s.watches, addLit)
+	s.binWatches = extendLists(s.binWatches, addLit)
+	s.binOcc = extendLists(s.binOcc, addLit)
 	s.dec.rebuild(n)
+}
+
+// extendLists grows a per-literal list of lists by k empty lists. Inner
+// lists left beyond the length by DropGroups are reused (truncated), so a
+// pooled solver re-minting activation variables allocates no list storage.
+func extendLists[T any](xs [][]T, k int) [][]T {
+	if k <= 0 {
+		return xs
+	}
+	n := len(xs)
+	if n+k > cap(xs) {
+		return appendN(xs, k, nil)
+	}
+	xs = xs[:n+k]
+	for i := n; i < n+k; i++ {
+		xs[i] = xs[i][:0]
+	}
+	return xs
 }
 
 // appendN appends k copies of x to xs with at most one reallocation.
@@ -295,6 +338,7 @@ func (s *Solver) AddClause(c cnf.Clause) {
 	if !keep {
 		return
 	}
+	s.simpTrail = -1
 	switch len(out) {
 	case 0:
 		s.ok = false
@@ -351,6 +395,7 @@ func (s *Solver) reduceAtRoot(c cnf.Clause) (out cnf.Clause, keep bool) {
 func (s *Solver) attach(c clauseRef) {
 	lits := s.ca.lits(c)
 	if len(lits) == 2 {
+		s.ownBinWatches()
 		s.binWatches[lits[0]] = append(s.binWatches[lits[0]], binWatcher{lits[1], c})
 		s.binWatches[lits[1]] = append(s.binWatches[lits[1]], binWatcher{lits[0], c})
 		s.stats.BinClauses++
@@ -368,6 +413,7 @@ func (s *Solver) addBinOcc(c clauseRef) {
 	if len(lits) != 2 {
 		return
 	}
+	s.ownBinOcc()
 	s.binOcc[lits[0]] = append(s.binOcc[lits[0]], lits[1])
 	s.binOcc[lits[1]] = append(s.binOcc[lits[1]], lits[0])
 }

@@ -105,6 +105,7 @@ func (s *Solver) detach(c clauseRef) {
 		if !s.ca.learnt(c) {
 			s.removeBinOcc(lits[0], lits[1])
 			s.removeBinOcc(lits[1], lits[0])
+			s.binOccStale = true
 		}
 		return
 	}
@@ -131,6 +132,7 @@ func (s *Solver) removeWatch(l cnf.Lit, c clauseRef) {
 // removeBinWatch unregisters one binary-tier implication, with the same
 // corruption panic as removeWatch.
 func (s *Solver) removeBinWatch(l cnf.Lit, c clauseRef) {
+	s.ownBinWatches()
 	ws := s.binWatches[l]
 	for i := range ws {
 		if ws[i].ref == c {
@@ -146,6 +148,7 @@ func (s *Solver) removeBinWatch(l cnf.Lit, c clauseRef) {
 // binary clauses yield duplicate entries; removing any one of them keeps
 // the multiset correct.
 func (s *Solver) removeBinOcc(l, partner cnf.Lit) {
+	s.ownBinOcc()
 	occ := s.binOcc[l]
 	for i := range occ {
 		if occ[i] == partner {
@@ -171,6 +174,7 @@ func (s *Solver) rebuildWatches() {
 	for i := range s.watches {
 		s.watches[i] = s.watches[i][:0]
 	}
+	s.ownBinWatches()
 	for i := range s.binWatches {
 		s.binWatches[i] = s.binWatches[i][:0]
 	}
@@ -186,11 +190,21 @@ func (s *Solver) rebuildWatches() {
 // rebuildBinOcc recomputes the binary-partner lists backing the nb_two
 // cost function (§7) from the live problem clauses.
 func (s *Solver) rebuildBinOcc() {
+	s.ownBinOcc()
 	for i := range s.binOcc {
 		s.binOcc[i] = s.binOcc[i][:0]
 	}
 	for _, c := range s.clauses {
 		s.addBinOcc(c)
+	}
+	s.binOccStale = false
+}
+
+// refreshBinOcc rebuilds the binary-partner lists only if binOccStale says
+// the binary problem clauses changed since the last rebuild.
+func (s *Solver) refreshBinOcc() {
+	if s.binOccStale {
+		s.rebuildBinOcc()
 	}
 }
 

@@ -118,7 +118,7 @@ func (m *metrics) render(w io.Writer, g gauges) {
 	fmt.Fprintf(w, "satserved_pool_hits_total %d\n", g.pool.Hits)
 	counter("satserved_pool_misses_total", "Pool Gets that derived a fresh solver from the snapshot.")
 	fmt.Fprintf(w, "satserved_pool_misses_total %d\n", g.pool.Misses)
-	counter("satserved_pool_dropped_total", "Solvers dropped instead of recycled (diverged or over the idle cap).")
+	counter("satserved_pool_dropped_total", "Solvers dropped instead of recycled (formula diverged beyond temp groups, proof writer, or over the idle cap).")
 	fmt.Fprintf(w, "satserved_pool_dropped_total %d\n", g.pool.Dropped)
 	gauge("satserved_pool_idle", "Warm solvers currently idle across all pools.")
 	fmt.Fprintf(w, "satserved_pool_idle %d\n", g.pool.Idle)

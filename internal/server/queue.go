@@ -217,10 +217,11 @@ func (s *Server) runJob(j *job) {
 				}
 			}
 		}
-		// Retire the query's group before the solver goes anywhere. The
-		// pool drops a group-diverged solver anyway (temp-clause queries
-		// trade warm reuse for isolation), but releasing keeps any proof
-		// stream and the solver's own state consistent regardless.
+		// Retire the query's group before the solver goes anywhere. Put
+		// would retire it too when it recycles the solver (dropping the
+		// group's clauses and activation variable), but releasing here
+		// keeps any proof stream consistent and leaves an unpooled solver
+		// without the temp clauses.
 		solver.ReleaseGroup(j.tempGroup)
 	}
 	if j.minimizeCore > 0 {

@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"berkmin/internal/cnf"
+	"berkmin/internal/core"
 )
 
 // Snapshot is an immutable capture of a loaded (and, when SetSimplify is
@@ -45,8 +46,10 @@ func (sn *Snapshot) NumVars() int { return sn.base.NumVars() }
 // the result shares no mutable state with the snapshot or its siblings, so
 // solvers derived from one snapshot may run concurrently. The new solver
 // supports the full incremental API (SolveAssuming, AddClause, further
-// Solve calls); it starts without a proof writer.
-func (sn *Snapshot) NewSolver() *Solver { return sn.base.Clone() }
+// Solve calls); it starts without a proof writer. Since the base never
+// changes, the new solver reads its binary-clause lists in place until it
+// first changes them (core.Solver.CloneFrozen).
+func (sn *Snapshot) NewSolver() *Solver { return sn.base.cloneWith(sn.base.core.CloneFrozen()) }
 
 // Reset returns the solver to its post-load state: search state (trail,
 // heuristic activities, saved phases, restart/reduce schedules) and all
@@ -69,12 +72,19 @@ func (s *Solver) Reset() {
 // writer to the clone if needed.
 func (s *Solver) Clone() *Solver {
 	s.preprocess()
+	return s.cloneWith(s.core.Clone())
+}
+
+// cloneWith wraps engine, a copy of s's core, in a front end of its own
+// that shares s's formula mirror read-only.
+func (s *Solver) cloneWith(engine *core.Solver) *Solver {
 	c := &Solver{
-		core:     s.core.Clone(),
-		pristine: shallowFormula(s.pristine),
-		verify:   s.verify,
-		maxTime:  s.maxTime,
-		fed:      true,
+		core:      engine,
+		pristine:  shallowFormula(s.pristine),
+		verify:    s.verify,
+		maxTime:   s.maxTime,
+		fed:       true,
+		inherited: core.GroupID(s.core.NumGroups()),
 	}
 	if s.view != nil {
 		c.view = s.view.Clone()
@@ -85,7 +95,9 @@ func (s *Solver) Clone() *Solver {
 // Pool is a concurrency-safe free list of solvers derived from one
 // Snapshot, for query streams that need a solver per request without
 // paying a clone each time: Get hands out a reset solver (cloning a new
-// one only when the pool is empty), Put resets and recycles it.
+// one only when the pool is empty), Put resets and recycles it. Clause
+// groups a query mints on its solver (temp clauses) do not stop the
+// recycling: Put retires them and drops their activation variables.
 type Pool struct {
 	snap    *Snapshot
 	mu      sync.Mutex
@@ -101,8 +113,10 @@ type PoolStats struct {
 	// calls that had to derive a fresh solver from the snapshot.
 	Hits, Misses uint64
 	// Dropped counts Put calls that discarded the solver instead of
-	// recycling it (diverged formula, attached proof writer, or the
-	// SetMaxIdle cap).
+	// recycling it: a formula diverged beyond groups minted since Get
+	// (AddClause, AddFormula, or a change to a snapshot-held group), an
+	// attached proof writer, a solver refuted at level 0 while retiring its
+	// groups, or the SetMaxIdle cap.
 	Dropped uint64
 	// Idle is the current free-list size (a gauge, not a counter).
 	Idle int
@@ -149,20 +163,23 @@ func (p *Pool) Get() *Solver {
 // Put recycles a solver obtained from Get, resetting it for the next
 // caller — including clearing a pending Interrupt, so a solver whose last
 // solve was cancelled (via Interrupt or a context) serves the next Get
-// like a fresh one. Solvers that have diverged from the snapshot's formula
-// — extra clauses added, or a proof writer attached — are dropped instead
-// of recycled, so handing a modified solver back is safe but not a reuse.
+// like a fresh one. Clause groups minted since Get, released or not, are
+// retired: their clauses and activation variables are dropped and the
+// solver returns to the snapshot's formula and variable count, so a
+// temp-clause query is recycled like any other. Solvers that diverged
+// otherwise — clauses added with AddClause or AddFormula, a snapshot-held
+// group changed, or a proof writer attached — are dropped instead of
+// recycled, so handing a modified solver back is safe but not a reuse.
 func (p *Pool) Put(s *Solver) {
 	if s == nil {
 		return
 	}
-	if s.proofW != nil || len(s.pristine.Clauses) != len(p.snap.base.pristine.Clauses) {
+	if !p.recycle(s) {
 		p.mu.Lock()
 		p.stats.Dropped++
 		p.mu.Unlock()
 		return
 	}
-	s.Reset()
 	p.mu.Lock()
 	if p.maxIdle > 0 && len(p.free) >= p.maxIdle {
 		p.stats.Dropped++
@@ -171,6 +188,34 @@ func (p *Pool) Put(s *Solver) {
 	}
 	p.free = append(p.free, s)
 	p.mu.Unlock()
+}
+
+// recycle returns s to the snapshot's post-load state, reporting false when
+// it cannot be reused. Variables beyond the snapshot's (activation
+// variables, or fresh variables an assumption named) are dropped along
+// with the groups minted since Get; what preprocessing restored for a
+// query stays, as it is the snapshot's formula in another form.
+func (p *Pool) recycle(s *Solver) bool {
+	base := p.snap.base
+	groups := core.GroupID(base.core.NumGroups())
+	if s.proofW != nil || s.inherited != groups ||
+		len(s.pristine.Clauses)-s.tempClauses != len(base.pristine.Clauses) {
+		return false
+	}
+	if s.core.NumGroups() == int(groups) && s.core.NumVars() == base.core.NumVars() {
+		s.Reset()
+		return true
+	}
+	if !s.core.DropGroups(int(groups), base.core.NumVars()) {
+		return false
+	}
+	// The pristine mirror's tail holds the dropped groups' clauses and
+	// release units; the snapshot's prefix is shared read-only, so the cut
+	// keeps only storage this solver's appends allocated.
+	s.pristine.Clauses = s.pristine.Clauses[:len(base.pristine.Clauses)]
+	s.pristine.NumVars = base.pristine.NumVars
+	s.tempClauses = 0
+	return true
 }
 
 // SolveParallel races a portfolio of diversified configurations over the
