@@ -209,8 +209,9 @@ func (s *Solver) AddClause(lits ...int) error {
 		}
 	}
 	wasDead := s.core.Dead()
+	// The pristine mirror keeps c; the core only reads it.
 	c := cnf.NewClause(lits...)
-	s.pristine.Add(c.Clone())
+	s.pristine.Add(c)
 	s.feed(c)
 	if wasDead {
 		return ErrSolverDead

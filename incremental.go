@@ -41,19 +41,23 @@ func (s *Solver) AddClauseGroup(g Group, lits ...int) error {
 	}
 	s.preprocess()
 	wasDead := s.core.Dead()
-	c := cnf.NewClause(lits...)
+	// Build C ∨ ¬t once. The pristine mirror keeps it — recording what the
+	// solver actually enforces keeps model verification and ProofFormula
+	// exact — and the core only reads it: core.AddGroupClause would build
+	// the same clause and add it the same way.
+	ext := make(cnf.Clause, len(lits)+1)
+	for i, l := range lits {
+		ext[i] = cnf.FromDimacs(l)
+	}
+	ext[len(lits)] = s.core.GroupLit(g).Not()
 	// A group clause may mention variables preprocessing eliminated;
 	// bring their defining clauses back first, as feed does.
-	for _, l := range c {
+	for _, l := range ext[:len(lits)] {
 		s.restore(l.Var())
 	}
-	// The pristine mirror records what the solver actually enforces — the
-	// clause extended with the group's activation literal — keeping model
-	// verification and ProofFormula exact.
-	ext := append(c.Clone(), s.core.GroupLit(g).Not())
 	s.pristine.Add(ext)
 	s.countTemp(g)
-	s.core.AddGroupClause(g, c)
+	s.core.AddClause(ext)
 	if wasDead {
 		return ErrSolverDead
 	}

@@ -3,9 +3,10 @@ package core
 import "berkmin/internal/cnf"
 
 // bumpVar increments a variable's activity and keeps the strategy-3 heap
-// (when enabled) consistent.
+// (when enabled) consistent; the scan's candidate list is emptied.
 func (d *berkminDecider) bumpVar(v cnf.Var) {
 	d.varAct[v]++
+	d.candN = 0
 	if d.s.opt.OptimizedGlobalPick {
 		d.order.bumped(v)
 	}
@@ -16,9 +17,11 @@ func (d *berkminDecider) bumpVar(v cnf.Var) {
 // clauses (§3); BerkMin inherits the idea for its variable activities. The
 // lit_activity counters of §7 are deliberately *not* aged: they count the
 // conflict clauses ever deduced, which is what database symmetrization
-// needs. The uniform division is order-preserving, so the activity heaps
-// stay valid without a rebuild.
+// needs. The uniform division never reverses an order, so the activity
+// heaps stay valid without a rebuild; it can merge two activities into a
+// tie, though, which reorders the scan's candidates, so their list goes.
 func (d *berkminDecider) decay() {
+	d.candN = 0
 	div := d.s.opt.AgingDivisor
 	for v := range d.varAct {
 		d.varAct[v] /= div

@@ -254,6 +254,7 @@ func (s *Solver) garbageCollect() {
 		}
 	}
 	s.ca = dst
+	s.top.rewritten() // the mirror holds the old refs
 	s.stats.ArenaGCs++
 }
 

@@ -333,13 +333,32 @@ func decideBenchSolver(opt Options, n int) *Solver {
 	return s
 }
 
+// addBenchLearnts pushes m learnt clauses of k positive literals over
+// variables 1..n onto the conflict-clause stack (unwatched: the descents
+// below do not propagate). With PolaritySatTop every top-clause decision
+// makes its clause true, and no decision sets a variable false while a
+// learnt is unsatisfied, so no learnt is ever falsified.
+func addBenchLearnts(s *Solver, n, m, k int) {
+	rng := newXorshift(7)
+	lits := make([]cnf.Lit, k)
+	for range m {
+		for j := range lits {
+			lits[j] = cnf.PosLit(cnf.Var(rng.intn(n) + 1))
+		}
+		norm, _ := cnf.Clause(lits).Clone().Normalize()
+		s.learnts = append(s.learnts, s.ca.alloc(norm, true))
+	}
+}
+
 // BenchmarkDecide measures the full branching descent of every decider
 // family: one op picks variables (without propagation) until the formula is
 // fully assigned, then backtracks to level 0. chaff-scan is the paper's
 // O(nVars) literal-counter scan; chaff-heap routes the same heuristic
 // through the activity heap (Options.OptimizedGlobalPick) — the before /
-// after pair for that optimization. The heap-backed deciders must report 0
-// allocs/op at steady state.
+// after pair for that optimization. The berkmin rows without learnts time
+// only the global pick (§7); berkmin-learnts carries a 1024-clause learnt
+// stack, so its descent also times the top-clause scan (§5). The
+// heap-backed deciders must report 0 allocs/op at steady state.
 func BenchmarkDecide(b *testing.B) {
 	const n = 512
 	s3 := DefaultOptions()
@@ -347,18 +366,21 @@ func BenchmarkDecide(b *testing.B) {
 	chaffHeap := ChaffOptions()
 	chaffHeap.OptimizedGlobalPick = true
 	for _, tc := range []struct {
-		name string
-		opt  Options
+		name    string
+		opt     Options
+		learnts int
 	}{
-		{"berkmin", DefaultOptions()},
-		{"berkmin-heap", s3},
-		{"chaff-scan", ChaffOptions()},
-		{"chaff-heap", chaffHeap},
-		{"evsids", EvsidsOptions()},
-		{"lrb", LrbOptions()},
+		{"berkmin", DefaultOptions(), 0},
+		{"berkmin-learnts", BranchOptions(PolaritySatTop), 1024},
+		{"berkmin-heap", s3, 0},
+		{"chaff-scan", ChaffOptions(), 0},
+		{"chaff-heap", chaffHeap, 0},
+		{"evsids", EvsidsOptions(), 0},
+		{"lrb", LrbOptions(), 0},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			s := decideBenchSolver(tc.opt, n)
+			addBenchLearnts(s, n, tc.learnts, 6)
 			descend := func() {
 				assigned := 0
 				for {

@@ -24,7 +24,27 @@ type berkminDecider struct {
 	// chaff-scan vs chaff-heap pair). Tie-breaking differs from the scan's
 	// lowest-literal rule, so it is opt-in rather than the chaff default.
 	litOrder actHeap[cnf.Lit, int64]
+
+	// cand caches the global scan of mostActiveFreeVar: the first candN
+	// free variables in the scan's order (activity descending, lowest
+	// index first on ties) with their activities in candAct, of which
+	// cand[:candHead] are known to be assigned. Every variable outside the
+	// list was assigned when it was built or ranks below its last entry,
+	// so the first candidate still free is the scan's answer for as long
+	// as no variable is unassigned and no activity changes; every event
+	// that could do either empties the list (candN = 0).
+	cand     [candK]cnf.Var
+	candAct  [candK]int64
+	candN    int
+	candHead int
 }
+
+// candK is the length of the global pick's candidate list. Propagation
+// assigns candidates as well as decisions do, so a short list runs dry
+// between conflicts: on perfbench serve (one 2-CPU Xeon), 16 entries took
+// one scan per 8 global picks and 64 one per 12, which halved the scan's
+// share of the CPU.
+const candK = 64
 
 func newBerkminDecider(s *Solver) *berkminDecider {
 	d := &berkminDecider{s: s}
@@ -40,9 +60,10 @@ func (d *berkminDecider) chaffHeap() bool {
 	return d.s.opt.Decision == DecideChaffLiteral && d.s.opt.OptimizedGlobalPick
 }
 
-// onBacktrack returns the unassigned variables to the active pick heap;
-// the naive scans need no bookkeeping.
+// onBacktrack returns the unassigned variables to the active pick heap, or
+// empties the global scan's candidate list.
 func (d *berkminDecider) onBacktrack(unassigned []cnf.Lit) {
+	d.candN = 0
 	switch {
 	case d.chaffHeap():
 		for i := len(unassigned) - 1; i >= 0; i-- {
@@ -175,17 +196,82 @@ func (d *berkminDecider) pickChaff() cnf.Lit {
 	return best
 }
 
+// topScan is the incremental state of currentTopClause. Between two
+// decisions the assignment usually only grows, so most of a scan repeats
+// the previous one; two mechanisms skip that work with the same result.
+//
+//   - resume: while no variable was unassigned and the learnt stack did
+//     not change, every clause above the last scan's stop is still
+//     satisfied, so the scan continues at stop.
+//   - sat mirrors a prefix of s.learnts index for index: each entry holds
+//     the clause and a literal that satisfied it at the last look (or
+//     LitUndef). A literal still true answers "satisfied" with one vals
+//     load and no arena access; only a miss calls satLit. A clause
+//     satisfied under a backtrack to level b stays satisfied only through
+//     a literal whose level is at most b, which is exactly a mirror
+//     literal that is still true.
+//
+// Every site that rewrites the learnt stack instead of appending to it
+// (database reduction, level-0 simplification, inprocessing, arena GC,
+// Reset) calls rewritten; cancelUntil calls unassigned. Appends extend the
+// mirror lazily.
+type topScan struct {
+	sat    []topSat
+	resume bool // stop is valid while len(s.learnts) is still n
+	n      int  // len(s.learnts) at the last scan
+	stop   int  // index the last scan stopped at; -1: every clause satisfied
+}
+
+// topSat is one mirror entry of topScan.
+type topSat struct {
+	c   clauseRef
+	lit cnf.Lit
+}
+
+// unassigned forgets the resume point: a backtrack may have unsatisfied a
+// clause above it.
+func (t *topScan) unassigned() { t.resume = false }
+
+// rewritten drops the mirror and the resume point after the learnt stack
+// was rewritten in place.
+func (t *topScan) rewritten() {
+	t.sat = t.sat[:0]
+	t.resume = false
+}
+
 // currentTopClause returns the unsatisfied conflict clause closest to the
 // top of the stack and its distance r from the top (§5, §6), or refUndef if
-// every conflict clause is satisfied.
+// every conflict clause is satisfied. It returns what a scan from the top
+// of the stack would, resuming the previous scan where that is exact (see
+// topScan).
 func (s *Solver) currentTopClause() (clauseRef, int) {
-	for i := len(s.learnts) - 1; i >= 0; i-- {
-		c := s.learnts[i]
-		if !s.satisfied(c) {
-			return c, len(s.learnts) - 1 - i
-		}
+	t := &s.top
+	n := len(s.learnts)
+	i := n - 1
+	if t.resume && t.n == n {
+		i = t.stop
 	}
-	return refUndef, 0
+	for k := len(t.sat); k < n; k++ {
+		t.sat = append(t.sat, topSat{s.learnts[k], cnf.LitUndef})
+	}
+	sat, vals := t.sat, s.vals
+	for ; i >= 0; i-- {
+		e := &sat[i]
+		// vals[LitUndef] is var 0's slot, never assigned.
+		if vals[e.lit] == lTrue {
+			continue
+		}
+		if l := s.satLit(e.c); l != cnf.LitUndef {
+			e.lit = l
+			continue
+		}
+		break
+	}
+	t.resume, t.n, t.stop = true, n, i
+	if i < 0 {
+		return refUndef, 0
+	}
+	return sat[i].c, n - 1 - i
 }
 
 // mostActiveFreeInClause returns the free variable of c with the largest
@@ -207,9 +293,11 @@ func (d *berkminDecider) mostActiveFreeInClause(c clauseRef) cnf.Var {
 }
 
 // mostActiveFreeVar returns the free variable with the largest var_activity
-// over the whole formula. The paper's main text uses a naive scan; BerkMin561
-// ("strategy 3", Remark 1) optimizes this — enabled by
-// Options.OptimizedGlobalPick via the activity-ordered heap.
+// over the whole formula, the lowest index on ties. The paper's main text
+// scans every variable; here a scan keeps its top candK (see cand), so
+// the decisions between two conflicts mostly share one scan. BerkMin561
+// ("strategy 3", Remark 1) replaces the scan with an activity-ordered
+// heap, enabled by Options.OptimizedGlobalPick.
 func (d *berkminDecider) mostActiveFreeVar() cnf.Var {
 	s := d.s
 	if s.opt.OptimizedGlobalPick {
@@ -220,22 +308,51 @@ func (d *berkminDecider) mostActiveFreeVar() cnf.Var {
 			}
 		}
 	}
-	var best cnf.Var
-	bestAct := int64(-1)
+	for ; d.candHead < d.candN; d.candHead++ {
+		if v := d.cand[d.candHead]; s.vals[cnf.PosLit(v)] == lUndef {
+			return v
+		}
+	}
+	d.scanCands()
+	if d.candN == 0 {
+		return 0
+	}
+	return d.cand[0]
+}
+
+// scanCands fills the candidate list with one scan over every variable.
+func (d *berkminDecider) scanCands() {
+	n := 0
+	floor := int64(-1) // a newcomer must beat this: the last entry's activity once full
 	// p walks the positive literals (PosLit(v) == 2v) of variables
 	// 1..nVars, so the assigned-variable path is one byte load with no
 	// bounds check; a variable-indexed loop over vals[PosLit(v)] ran
 	// BenchmarkDecide/berkmin about 10 % slower.
-	vals, act := s.vals, d.varAct
+	vals, act := d.s.vals, d.varAct
 	for p := 2; p < len(vals); p += 2 {
 		if vals[p] != lUndef {
 			continue
 		}
-		if a := act[p>>1]; a > bestAct {
-			best, bestAct = cnf.Var(p>>1), a
+		a := act[p>>1]
+		if a <= floor {
+			continue
+		}
+		// Insert after every entry at least as active (the lower index
+		// wins a tie), dropping the last entry of a full list.
+		j := min(n, candK-1)
+		for j > 0 && d.candAct[j-1] < a {
+			d.cand[j], d.candAct[j] = d.cand[j-1], d.candAct[j-1]
+			j--
+		}
+		d.cand[j], d.candAct[j] = cnf.Var(p>>1), a
+		if n < candK {
+			n++
+		}
+		if n == candK {
+			floor = d.candAct[candK-1]
 		}
 	}
-	return best
+	d.candN, d.candHead = n, 0
 }
 
 // savedPhase returns the phase-saving override for v, or LitUndef when
@@ -311,6 +428,7 @@ func (d *berkminDecider) litActivityPolarity(v cnf.Var) cnf.Lit {
 // rebuild grows the activity arrays to n variables and registers the new
 // variables in the active pick heap.
 func (d *berkminDecider) rebuild(n int) {
+	d.candN = 0
 	old := len(d.varAct) - 1
 	if old < 0 {
 		old = 0
@@ -338,6 +456,7 @@ func (d *berkminDecider) rebuild(n int) {
 }
 
 func (d *berkminDecider) truncate(n int) {
+	d.candN = 0
 	d.varAct = d.varAct[:n+1]
 	d.litAct = d.litAct[:2*n+2]
 	d.chaffAct = d.chaffAct[:2*n+2]
@@ -346,8 +465,10 @@ func (d *berkminDecider) truncate(n int) {
 }
 
 // rearmHeaps rebuilds (or tears down) the pick heaps required by the
-// current options, over the current activity values.
+// current options, over the current activity values, and empties the
+// scan's candidate list.
 func (d *berkminDecider) rearmHeaps() {
+	d.candN = 0
 	useVarHeap := d.s.opt.OptimizedGlobalPick && d.s.opt.Decision != DecideChaffLiteral
 	useLitHeap := d.chaffHeap()
 	if useVarHeap {

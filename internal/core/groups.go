@@ -68,15 +68,14 @@ func (s *Solver) GroupReleased(g GroupID) bool { return s.groups[g-1].released }
 // released group is a no-op (its activation literal is already false
 // forever). Like AddClause it must be called between Solve calls.
 func (s *Solver) AddGroupClause(g GroupID, c cnf.Clause) {
-	info := s.groups[g-1]
-	ext := make(cnf.Clause, 0, len(c)+1)
-	ext = append(ext, c...)
-	ext = append(ext, cnf.NegLit(info.act))
-	// The extended clause goes down the ordinary AddClause path: if the
-	// group is already released, ¬t is true at level 0 and the clause is
-	// dropped as satisfied; if C normalizes away entirely, AddClause
-	// asserts the unit ¬t, correctly making the group unactivatable.
-	s.AddClause(ext)
+	// The extended clause C ∨ ¬t goes down the ordinary AddClause path: if
+	// the group is already released, ¬t is true at level 0 and the clause
+	// is dropped as satisfied; if C normalizes away entirely, AddClause
+	// asserts the unit ¬t, correctly making the group unactivatable. A
+	// caller that already holds C ∨ ¬t (GroupLit gives ¬t) may pass it to
+	// AddClause directly.
+	s.addBuf = append(append(s.addBuf[:0], c...), cnf.NegLit(s.groups[g-1].act))
+	s.addBuffered()
 }
 
 // ReleaseGroup retires the group: the unit ¬t is asserted at level 0 (and

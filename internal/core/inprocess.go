@@ -40,6 +40,8 @@ type inpClause struct {
 // with the watch lists intact and propagation at a fixed point — i.e.
 // right after a successful reduceDB.
 func (s *Solver) inprocess() {
+	// Subsumption and vivification rewrite the learnt stack in place.
+	s.top.rewritten()
 	s.sinceInprocess = 0
 	s.stats.InprocessPasses++
 	s.clearLevel0Reasons()

@@ -78,6 +78,7 @@ func checkInvariants(t testing.TB, s *Solver) {
 			}
 		}
 	}
+	checkTopMirror(t, s)
 	if s.opt.Reduce == ReduceTiered {
 		if core != s.stats.CoreLearnts || mid != s.stats.Tier2Learnts || local != s.stats.LocalLearnts {
 			t.Fatalf("invariant: tier gauges core=%d tier2=%d local=%d, arena walk %d/%d/%d",

@@ -22,6 +22,8 @@ import (
 // ref the solver holds. Watches and occurrence lists are rebuilt wholesale
 // afterwards either way.
 func (s *Solver) reduceDB() {
+	// Every pass below rewrites the learnt stack in place.
+	s.top.rewritten()
 	// Finish pending level-0 propagation first.
 	if confl := s.propagate(); confl != refUndef {
 		s.ok = false
@@ -75,6 +77,7 @@ func (s *Solver) reduceDB() {
 // enqueued, so simpTrail records the trail length the pass started from:
 // the units make the next reduceDB run it again.
 func (s *Solver) simplifyLevel0() {
+	s.top.rewritten() // learnts are freed and shrunk in place
 	s.simpTrail = len(s.trail)
 	s.clearLevel0Reasons()
 	s.clauses = s.simplifySlice(s.clauses)

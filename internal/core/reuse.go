@@ -80,6 +80,7 @@ func (s *Solver) dropSearch() {
 		s.ca.free(c)
 	}
 	s.learnts = s.learnts[:0]
+	s.top.rewritten()
 }
 
 // rebuildPostLoad is Reset's second half: a new Stats lifetime, the watch

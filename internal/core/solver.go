@@ -142,6 +142,7 @@ type Solver struct {
 
 	// ---- Search plane: accumulated by the CDCL loop; dropped by Reset.
 	learnts []clauseRef // conflict-clause stack, index = age, top = end
+	top     topScan     // incremental state of the top-clause scan (decide.go)
 
 	vals      []lbool     // per literal: vals[l] == -vals[l^1]; value(l) is one load
 	vlevel    []int32     // per variable: decision level of its assignment
@@ -192,6 +193,7 @@ type Solver struct {
 	queriesSeen    uint64
 	shrinkBudget   uint64
 	groupAssumpBuf []cnf.Lit
+	addBuf         cnf.Clause // the clause being added, normalized in place (addBuffered)
 
 	// Inprocessing scratch (inprocess.go), reused so steady-state passes
 	// allocate nothing: work list, per-literal occurrence index, size
@@ -329,12 +331,19 @@ func (s *Solver) AddFormula(f *cnf.Formula) {
 
 // AddClause adds a problem clause. It must be called before Solve.
 // Tautologies are dropped, duplicate literals merged; an empty clause makes
-// the problem unsatisfiable.
+// the problem unsatisfiable. c is only read (it is copied into a scratch
+// buffer), so the caller may keep it.
 func (s *Solver) AddClause(c cnf.Clause) {
+	s.addBuf = append(s.addBuf[:0], c...)
+	s.addBuffered()
+}
+
+// addBuffered adds the clause held in addBuf, normalizing it in place.
+func (s *Solver) addBuffered() {
 	if !s.ok {
 		return
 	}
-	out, keep := s.reduceAtRoot(c.Clone())
+	out, keep := s.reduceAtRoot(s.addBuf)
 	if !keep {
 		return
 	}
@@ -478,6 +487,7 @@ func (s *Solver) cancelUntil(level int) {
 		s.reason[v] = refUndef
 	}
 	s.dec.onBacktrack(s.trail[bound:])
+	s.top.unassigned()
 	s.trail = s.trail[:bound]
 	s.trailLim = s.trailLim[:level]
 	if s.qhead > bound {
