@@ -7,12 +7,12 @@
 //
 //	berkmin [flags] [file.cnf]        (stdin when no file is given)
 //
-// The -config flag selects the paper's configurations: berkmin (default),
-// less-sensitivity, less-mobility, limited-keeping, chaff, limmat, the
-// branch-selection ablations sat-top, unsat-top, take-0, take-1, take-rand,
-// or the modern extensions — tiered (glue-aware three-tier learnt database,
-// Luby restarts with glue-based postponement, phase saving), evsids and lrb
-// (alternative branching heuristics), and modern (tiered + EVSIDS).
+// The -config flag selects a configuration by its name in the core preset
+// table (core.Presets): the paper's configurations — berkmin (default),
+// less-sensitivity, less-mobility, limited-keeping, chaff, limmat and the
+// branch-selection ablations sat-top, unsat-top, take-0, take-1, take-rand
+// — the modern extensions tiered, evsids, lrb and modern, and the other
+// members of the -jobs portfolio.
 package main
 
 import (
@@ -20,6 +20,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 	"time"
 
 	"berkmin"
@@ -31,45 +32,9 @@ func main() {
 	os.Exit(run())
 }
 
-func configByName(name string) (core.Options, bool) {
-	switch name {
-	case "berkmin":
-		return core.DefaultOptions(), true
-	case "less-sensitivity":
-		return core.LessSensitivityOptions(), true
-	case "less-mobility":
-		return core.LessMobilityOptions(), true
-	case "limited-keeping":
-		return core.LimitedKeepingOptions(), true
-	case "chaff":
-		return core.ChaffOptions(), true
-	case "limmat":
-		return core.LimmatOptions(), true
-	case "tiered":
-		return core.TieredOptions(), true
-	case "evsids":
-		return core.EvsidsOptions(), true
-	case "lrb":
-		return core.LrbOptions(), true
-	case "modern":
-		return core.ModernOptions(), true
-	case "sat-top":
-		return core.BranchOptions(core.PolaritySatTop), true
-	case "unsat-top":
-		return core.BranchOptions(core.PolarityUnsatTop), true
-	case "take-0":
-		return core.BranchOptions(core.PolarityTake0), true
-	case "take-1":
-		return core.BranchOptions(core.PolarityTake1), true
-	case "take-rand":
-		return core.BranchOptions(core.PolarityTakeRand), true
-	}
-	return core.Options{}, false
-}
-
 func run() int {
 	var (
-		configName   = flag.String("config", "berkmin", "solver configuration (berkmin, less-sensitivity, less-mobility, limited-keeping, chaff, limmat, tiered, evsids, lrb, modern, sat-top, unsat-top, take-0, take-1, take-rand)")
+		configName   = flag.String("config", "berkmin", "solver configuration ("+presetNames()+")")
 		maxConflicts = flag.Uint64("max-conflicts", 0, "abort after this many conflicts (0 = unlimited)")
 		timeout      = flag.Duration("timeout", 0, "abort after this wall-clock time (0 = unlimited)")
 		seed         = flag.Uint64("seed", 1, "PRNG seed (deterministic reruns)")
@@ -96,16 +61,21 @@ func run() int {
 	}
 	defer stopProf()
 
-	opt, ok := configByName(*configName)
+	opt, ok := core.Preset(*configName)
 	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown config %q\n", *configName)
+		fmt.Fprintf(os.Stderr, "unknown config %q (%s)\n", *configName, presetNames())
 		return 1
 	}
 	opt.MaxConflicts = *maxConflicts
 	opt.MaxTime = *timeout
 	opt.Seed = *seed
-	opt.OptimizedGlobalPick = *strategy3
-	opt.MinimizeLearnt = *minimize
+	// The flags add to a preset; they never clear what it sets.
+	if *strategy3 {
+		opt.OptimizedGlobalPick = true
+	}
+	if *minimize {
+		opt.MinimizeLearnt = true
+	}
 	if *inprocess {
 		opt.EnableInprocessing()
 	}
@@ -250,6 +220,15 @@ func run() int {
 	}
 
 	return report(res, noModel)
+}
+
+// presetNames lists the -config names in table order.
+func presetNames() string {
+	var names []string
+	for _, p := range core.Presets() {
+		names = append(names, p.Name)
+	}
+	return strings.Join(names, ", ")
 }
 
 // report prints the verdict in the SAT-competition convention and returns

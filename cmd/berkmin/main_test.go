@@ -1,26 +1,31 @@
 package main
 
-import "testing"
+import (
+	"strings"
+	"testing"
+
+	"berkmin/internal/core"
+)
 
 func TestConfigByNameCoversEveryConfiguration(t *testing.T) {
-	names := []string{
-		"berkmin", "less-sensitivity", "less-mobility", "limited-keeping",
-		"chaff", "limmat", "tiered", "evsids", "lrb", "modern", "sat-top",
-		"unsat-top", "take-0", "take-1", "take-rand",
-	}
-	for _, n := range names {
-		if _, ok := configByName(n); !ok {
-			t.Errorf("config %q missing", n)
+	names := presetNames()
+	for _, p := range core.Presets() {
+		opt, ok := core.Preset(p.Name)
+		if !ok || opt != p.Opt {
+			t.Errorf("config %q missing", p.Name)
+		}
+		if !strings.Contains(names, p.Name) {
+			t.Errorf("config %q missing from the -config help", p.Name)
 		}
 	}
-	if _, ok := configByName("bogus"); ok {
+	if _, ok := core.Preset("bogus"); ok {
 		t.Error("unknown config accepted")
 	}
 }
 
 func TestConfigsDiffer(t *testing.T) {
-	a, _ := configByName("berkmin")
-	b, _ := configByName("chaff")
+	a, _ := core.Preset("berkmin")
+	b, _ := core.Preset("chaff")
 	if a.Decision == b.Decision && a.Reduce == b.Reduce {
 		t.Error("berkmin and chaff configs should differ")
 	}

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 
 	"berkmin"
 	"berkmin/internal/bench"
@@ -130,17 +131,18 @@ func run() int {
 	case "competition":
 		return writeSet(gen.CompetitionSuite(*seed), *out)
 	case "class":
-		sc, ok := scaleByName(*scale)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown scale %q\n", *scale)
+		sc, err := bench.ParseScale(*scale)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
 			return 1
 		}
-		for _, cl := range bench.Classes(sc) {
+		classes := bench.Classes(sc)
+		for _, cl := range classes {
 			if cl.Name == *class {
 				return writeSet(cl.Instances, *out)
 			}
 		}
-		fmt.Fprintf(os.Stderr, "unknown class %q; see DESIGN.md for the 12 class names\n", *class)
+		fmt.Fprintln(os.Stderr, unknownClass(*class, classes))
 		return 1
 	default:
 		fmt.Fprintf(os.Stderr, "unknown family %q\n", *family)
@@ -148,16 +150,13 @@ func run() int {
 	}
 }
 
-func scaleByName(s string) (bench.Scale, bool) {
-	switch s {
-	case "small":
-		return bench.Small, true
-	case "medium":
-		return bench.Medium, true
-	case "large":
-		return bench.Large, true
+// unknownClass is the error for a -class name that is not one of classes.
+func unknownClass(name string, classes []bench.Class) string {
+	names := make([]string, len(classes))
+	for i, cl := range classes {
+		names[i] = cl.Name
 	}
-	return bench.Small, false
+	return fmt.Sprintf("unknown class %q; the classes are %s", name, strings.Join(names, ", "))
 }
 
 func writeSet(insts []gen.Instance, dir string) int {

@@ -1,22 +1,22 @@
 package main
 
 import (
+	"strings"
 	"testing"
 
 	"berkmin/internal/bench"
 )
 
-func TestScaleByName(t *testing.T) {
-	cases := map[string]bench.Scale{
-		"small": bench.Small, "medium": bench.Medium, "large": bench.Large,
+// TestUnknownClassListsClasses: a bad -class names every class there is.
+func TestUnknownClassListsClasses(t *testing.T) {
+	classes := bench.Classes(bench.Small)
+	msg := unknownClass("Bogus", classes)
+	if !strings.Contains(msg, `"Bogus"`) {
+		t.Errorf("message does not name the bad class: %s", msg)
 	}
-	for name, want := range cases {
-		got, ok := scaleByName(name)
-		if !ok || got != want {
-			t.Errorf("scaleByName(%q) = %v, %v", name, got, ok)
+	for _, cl := range classes {
+		if !strings.Contains(msg, cl.Name) {
+			t.Errorf("message lacks class %s: %s", cl.Name, msg)
 		}
-	}
-	if _, ok := scaleByName("gigantic"); ok {
-		t.Error("unknown scale accepted")
 	}
 }

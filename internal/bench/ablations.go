@@ -6,9 +6,17 @@ import (
 	"berkmin/internal/core"
 )
 
-// Ablations beyond the paper's own tables, for the design choices
-// DESIGN.md §5 calls out. Each runs a family of configurations over the
-// hard-instance instrument set and reports per-config totals.
+// Ablations beyond the paper's own tables: the design choices the paper
+// fixes without a table (young fraction, restarts, aging, nb_two, the
+// global pick) and the post-BerkMin extensions. Each runs a family of
+// configurations over the hard-instance instrument set and reports
+// per-config totals. A row whose options equal a core preset reads them
+// from the preset table.
+
+// preset is an ablation row named name that runs the core preset p.
+func preset(name, p string) Config {
+	return Config{Name: name, Opt: core.MustPreset(p)}
+}
 
 // ablationRow is one configuration under test with its own run limits
 // (the simplify ablation toggles Limits.Simplify per row).
@@ -82,9 +90,9 @@ func AblationRestart(sc Scale, lim Limits) *Report {
 		return Config{Name: name, Opt: o}
 	}
 	cfgs := []Config{
-		mk("fixed550", func(o *core.Options) {}),
+		preset("fixed550", "berkmin"),
 		mk("fixed100", func(o *core.Options) { o.RestartFirst = 100; o.RestartJitter = 10 }),
-		mk("geometric", func(o *core.Options) { o.Restart = core.RestartGeometric; o.RestartFirst = 100 }),
+		preset("geometric", "berkmin-geo"),
 		mk("luby64", func(o *core.Options) { o.Restart = core.RestartLuby; o.RestartFirst = 64 }),
 		mk("never", func(o *core.Options) { o.Restart = core.RestartNever }),
 	}
@@ -126,45 +134,41 @@ func AblationNbTwo(sc Scale, lim Limits) *Report {
 
 // AblationGlobalPick compares the naive scan with strategy 3 (Remark 1).
 func AblationGlobalPick(sc Scale, lim Limits) *Report {
-	naive := core.DefaultOptions()
-	opt := core.DefaultOptions()
-	opt.OptimizedGlobalPick = true
 	return ablationReport("Ablation — global most-active pick: naive scan vs strategy 3 (Remark 1)",
-		[]Config{{Name: "naive", Opt: naive}, {Name: "strategy3", Opt: opt}}, sc, lim, nil)
+		[]Config{preset("naive", "berkmin"), preset("strategy3", "berkmin-s3")}, sc, lim, nil)
 }
 
 // AblationMinimize measures learnt-clause minimization (post-BerkMin).
 func AblationMinimize(sc Scale, lim Limits) *Report {
-	off := core.DefaultOptions()
 	on := core.DefaultOptions()
 	on.MinimizeLearnt = true
 	return ablationReport("Ablation — learnt-clause minimization (post-BerkMin extension)",
-		[]Config{{Name: "off", Opt: off}, {Name: "on", Opt: on}}, sc, lim, nil)
+		[]Config{preset("off", "berkmin"), {Name: "on", Opt: on}}, sc, lim, nil)
 }
 
-// AblationSimplify is the ISSUE-3 simplification ablation: the same
+// AblationSimplify is the simplification ablation: the same
 // BerkMin engine with preprocessing (internal/simplify) and inprocessing
 // (core inprocess.go) toggled independently. Preprocessing is a Limits
 // toggle (it runs outside the engine), so each row carries its own Limits.
 func AblationSimplify(sc Scale, lim Limits) *Report {
-	row := func(name string, opt core.Options, simplify bool) ablationRow {
+	row := func(name, p string, simplify bool) ablationRow {
 		l := lim
 		l.Simplify = simplify
-		return ablationRow{Config{Name: name, Opt: opt}, l}
+		return ablationRow{preset(name, p), l}
 	}
 	return ablationRows("Ablation — simplification: preprocessing and inprocessing (extension)",
 		[]ablationRow{
-			row("baseline", core.DefaultOptions(), false),
-			row("preprocess", core.DefaultOptions(), true),
-			row("inprocess", core.InprocessingOptions(), false),
-			row("pre+inprocess", core.InprocessingOptions(), true),
+			row("baseline", "berkmin", false),
+			row("preprocess", "berkmin", true),
+			row("inprocess", "berkmin-inp", false),
+			row("pre+inprocess", "berkmin-inp", true),
 		}, sc, []string{
 			"preprocess: unit propagation + subsumption + self-subsuming resolution + bounded variable elimination before search",
 			"inprocess: subsumption + strengthening + vivification at restart boundaries",
 		})
 }
 
-// AblationTieredDB is the ISSUE-5 clause-database ablation: BerkMin's §8
+// AblationTieredDB is the clause-database ablation: BerkMin's §8
 // age/length/activity management against the glue-aware three-tier
 // database, fixed against Luby restarts, and phase saving on/off — ending
 // at the full TieredOptions configuration (tiers + Luby + postponement +
@@ -182,7 +186,7 @@ func AblationTieredDB(sc Scale, lim Limits) *Report {
 		o.RestartJitter = 0
 	}
 	cfgs := []Config{
-		mk("berkmin-db/fixed", func(o *core.Options) {}),
+		preset("berkmin-db/fixed", "berkmin"),
 		mk("berkmin-db/luby", luby),
 		mk("tiered/fixed", func(o *core.Options) { o.Reduce = core.ReduceTiered }),
 		mk("tiered/luby", func(o *core.Options) { o.Reduce = core.ReduceTiered; luby(o) }),
@@ -191,7 +195,7 @@ func AblationTieredDB(sc Scale, lim Limits) *Report {
 			luby(o)
 			o.PhaseSaving = true
 		}),
-		{Name: "tiered/luby/phase/postpone", Opt: core.TieredOptions()},
+		preset("tiered/luby/phase/postpone", "tiered"),
 	}
 	return ablationReport("Ablation — learnt-clause database tiers & restarts (extension; see README)",
 		cfgs, sc, lim, []string{
@@ -200,7 +204,7 @@ func AblationTieredDB(sc Scale, lim Limits) *Report {
 		})
 }
 
-// AblationBranching is the ISSUE-8 branching-plane ablation: the paper's
+// AblationBranching is the branching-plane ablation: the paper's
 // BerkMin heuristic (top-clause + responsible bumping) against its own
 // strategy-3 variant, the chaff literal-counter heuristic with and without
 // the heap-backed pick, and the two modern deciders (EVSIDS, LRB) — ending
@@ -208,18 +212,16 @@ func AblationTieredDB(sc Scale, lim Limits) *Report {
 // EVSIDS). Everything but the decider is held at defaults, so the deltas
 // isolate branching.
 func AblationBranching(sc Scale, lim Limits) *Report {
-	s3 := core.DefaultOptions()
-	s3.OptimizedGlobalPick = true
 	chaffHeap := core.ChaffOptions()
 	chaffHeap.OptimizedGlobalPick = true
 	cfgs := []Config{
-		{Name: "berkmin", Opt: core.DefaultOptions()},
-		{Name: "berkmin-s3", Opt: s3},
-		{Name: "chaff-scan", Opt: core.ChaffOptions()},
+		preset("berkmin", "berkmin"),
+		preset("berkmin-s3", "berkmin-s3"),
+		preset("chaff-scan", "chaff"),
 		{Name: "chaff-heap", Opt: chaffHeap},
-		{Name: "evsids", Opt: core.EvsidsOptions()},
-		{Name: "lrb", Opt: core.LrbOptions()},
-		{Name: "modern", Opt: core.ModernOptions()},
+		preset("evsids", "evsids"),
+		preset("lrb", "lrb"),
+		preset("modern", "modern"),
 	}
 	return ablationReport("Ablation — branching heuristics: BerkMin vs EVSIDS vs LRB (extension; see README)",
 		cfgs, sc, lim, []string{
@@ -231,11 +233,10 @@ func AblationBranching(sc Scale, lim Limits) *Report {
 // AblationPhaseSaving measures phase saving against the paper's §7
 // polarity heuristics.
 func AblationPhaseSaving(sc Scale, lim Limits) *Report {
-	off := core.DefaultOptions()
 	on := core.DefaultOptions()
 	on.PhaseSaving = true
 	return ablationReport("Ablation — phase saving vs the paper's §7 polarity heuristics (post-BerkMin extension)",
-		[]Config{{Name: "lit-activity+nb_two", Opt: off}, {Name: "phase-saving", Opt: on}}, sc, lim, nil)
+		[]Config{preset("lit-activity+nb_two", "berkmin"), {Name: "phase-saving", Opt: on}}, sc, lim, nil)
 }
 
 // Ablation dispatches by name.

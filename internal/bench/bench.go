@@ -23,10 +23,6 @@ import (
 type Config struct {
 	Name string
 	Opt  core.Options
-	// Jobs > 1 benches the parallel portfolio engine instead of a single
-	// solver: N diversified members race on each instance (Opt is ignored;
-	// the portfolio picks its own diversification).
-	Jobs int
 }
 
 // Limits bounds each individual solver run. Zero fields mean unlimited.
@@ -60,30 +56,18 @@ type InstanceResult struct {
 // (bounded by the instance budget, its time charged to Runtime) and maps
 // models back to the original variables.
 func RunInstance(inst gen.Instance, cfg Config, lim Limits) InstanceResult {
-	var r core.Result
-	if cfg.Jobs > 1 {
-		// The winner's Runtime is the wall-clock time to the answer,
-		// which is the number the tables want.
-		r = berkmin.SolveParallel(inst.Formula, berkmin.ParallelOptions{
-			Jobs:         cfg.Jobs,
-			MaxConflicts: lim.MaxConflicts,
-			MaxTime:      lim.MaxTime,
-			Simplify:     lim.Simplify,
-		}).Result
-	} else {
-		opt := cfg.Opt
-		opt.MaxConflicts = lim.MaxConflicts
-		opt.MaxTime = lim.MaxTime
-		s := berkmin.NewWithOptions(opt)
-		// A wrong model is a table entry (Wrong), not a panic.
-		s.SetVerifyModels(false)
-		if lim.Simplify {
-			so := berkmin.DefaultSimplifyOptions()
-			s.SetSimplify(&so)
-		}
-		s.AddFormula(inst.Formula)
-		r = s.Solve()
+	opt := cfg.Opt
+	opt.MaxConflicts = lim.MaxConflicts
+	opt.MaxTime = lim.MaxTime
+	s := berkmin.NewWithOptions(opt)
+	// A wrong model is a table entry (Wrong), not a panic.
+	s.SetVerifyModels(false)
+	if lim.Simplify {
+		so := berkmin.DefaultSimplifyOptions()
+		s.SetSimplify(&so)
 	}
+	s.AddFormula(inst.Formula)
+	r := s.Solve()
 	res := InstanceResult{
 		Instance: inst.Name,
 		Family:   inst.Family,

@@ -315,3 +315,35 @@ func TestFmtHelpers(t *testing.T) {
 		t.Fatalf("fmtTotal aborted = %q", got)
 	}
 }
+
+// TestAbortedFromStopReason: Aborted must mean "a resource budget ran out",
+// derived from the solver's explicit stop reason — not merely
+// StatusUnknown.
+func TestAbortedFromStopReason(t *testing.T) {
+	cfg := Config{Name: "berkmin", Opt: core.DefaultOptions()}
+
+	r := RunInstance(gen.Pigeonhole(9), cfg, Limits{MaxConflicts: 5})
+	if !r.Aborted || r.Status != core.StatusUnknown || r.Stats.Stop != core.StopConflicts {
+		t.Fatalf("budget run misreported: %+v", r)
+	}
+
+	r = RunInstance(gen.Pigeonhole(5), cfg, testLimits)
+	if r.Aborted || r.Stats.Stop != core.StopNone {
+		t.Fatalf("completed run misreported: aborted=%v stop=%v", r.Aborted, r.Stats.Stop)
+	}
+}
+
+func TestScaleByName(t *testing.T) {
+	cases := map[string]Scale{
+		"small": Small, "medium": Medium, "large": Large,
+	}
+	for name, want := range cases {
+		got, err := ParseScale(name)
+		if err != nil || got != want {
+			t.Errorf("ParseScale(%q) = %v, %v", name, got, err)
+		}
+	}
+	if _, err := ParseScale("gigantic"); err == nil {
+		t.Error("unknown scale accepted")
+	}
+}

@@ -1,6 +1,10 @@
 package bench
 
-import "berkmin/internal/gen"
+import (
+	"fmt"
+
+	"berkmin/internal/gen"
+)
 
 // Scale selects instance sizes. The paper's originals took hours on 2002
 // hardware; Small keeps every class in fractions of a second (for go test
@@ -12,6 +16,19 @@ const (
 	Medium
 	Large
 )
+
+// ParseScale maps a -scale flag value (small, medium, large) to its Scale.
+func ParseScale(name string) (Scale, error) {
+	switch name {
+	case "small":
+		return Small, nil
+	case "medium":
+		return Medium, nil
+	case "large":
+		return Large, nil
+	}
+	return Small, fmt.Errorf("unknown scale %q (small, medium, large)", name)
+}
 
 // Class is one benchmark class of the paper's evaluation.
 type Class struct {

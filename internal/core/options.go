@@ -1,6 +1,10 @@
 package core
 
-import "time"
+import (
+	"fmt"
+	"slices"
+	"time"
+)
 
 // DecisionMode selects how the next branching variable is chosen.
 type DecisionMode int
@@ -332,6 +336,69 @@ func IncrementalOptions() Options {
 	o := ModernOptions()
 	o.QueryDecay = 0.7
 	return o
+}
+
+// NamedOptions is one entry of the preset table.
+type NamedOptions struct {
+	Name string
+	Opt  Options
+}
+
+// presets names every configuration the commands and the portfolio use,
+// one name per distinct option set: berkmin -config accepts each name,
+// the portfolio ladder and the satbench ablations pick members by name.
+var presets = []NamedOptions{
+	{"berkmin", DefaultOptions()},
+	{"less-sensitivity", LessSensitivityOptions()},
+	{"less-mobility", LessMobilityOptions()},
+	{"limited-keeping", LimitedKeepingOptions()},
+	{"chaff", ChaffOptions()},
+	{"limmat", LimmatOptions()},
+	{"tiered", TieredOptions()},
+	{"evsids", EvsidsOptions()},
+	{"lrb", LrbOptions()},
+	{"modern", ModernOptions()},
+	{"sat-top", BranchOptions(PolaritySatTop)},
+	{"unsat-top", BranchOptions(PolarityUnsatTop)},
+	{"take-0", BranchOptions(PolarityTake0)},
+	{"take-1", BranchOptions(PolarityTake1)},
+	{"take-rand", BranchOptions(PolarityTakeRand)},
+	{"berkmin-s3", with(DefaultOptions(), func(o *Options) { o.OptimizedGlobalPick = true })},
+	{"tiered-s3", with(TieredOptions(), func(o *Options) { o.OptimizedGlobalPick = true })},
+	{"berkmin-luby", with(DefaultOptions(), func(o *Options) { o.Restart, o.RestartFirst = RestartLuby, 100 })},
+	{"berkmin-geo", with(DefaultOptions(), func(o *Options) { o.Restart, o.RestartFirst = RestartGeometric, 100 })},
+	{"chaff-phase", with(ChaffOptions(), func(o *Options) { o.PhaseSaving = true })},
+	{"berkmin-inp", InprocessingOptions()},
+}
+
+// with returns o changed by set.
+func with(o Options, set func(*Options)) Options {
+	set(&o)
+	return o
+}
+
+// Presets returns the preset table in its fixed order.
+func Presets() []NamedOptions { return slices.Clone(presets) }
+
+// Preset returns the named preset's Options; ok is false for an unknown
+// name.
+func Preset(name string) (opt Options, ok bool) {
+	for _, p := range presets {
+		if p.Name == name {
+			return p.Opt, true
+		}
+	}
+	return Options{}, false
+}
+
+// MustPreset is Preset for names fixed in code: it panics on an unknown
+// name.
+func MustPreset(name string) Options {
+	opt, ok := Preset(name)
+	if !ok {
+		panic(fmt.Sprintf("core: unknown preset %q", name))
+	}
+	return opt
 }
 
 // normalize fills in unset (zero) fields that would otherwise divide by

@@ -3,8 +3,8 @@
 // Velev-style processor-verification suites (Sss, Fvp-unsat, Vliw-sat) and
 // the SAT-2002 competition families — is produced synthetically with seeded
 // generators, since the original benchmark files are not redistributable.
-// DESIGN.md §3 documents, per class, why the substitution preserves the
-// structure the solver heuristics exploit.
+// Each generator's doc comment (or its file's header) says why its
+// substitution preserves the structure the solver heuristics exploit.
 package gen
 
 import (

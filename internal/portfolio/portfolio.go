@@ -73,73 +73,34 @@ func (r *Result) SharedClauses() uint64 {
 	return n
 }
 
+// ladder lists the portfolio members in order by their core preset
+// names: the paper's presets (BerkMin, zChaff-like, limmat-like), the
+// modern branching families (EVSIDS via modern, LRB) placed early so even
+// small portfolios carry one member of each decider family, then
+// restart-policy and polarity variants.
+var ladder = []string{
+	"berkmin", "modern", "lrb", "tiered", "chaff", "limmat", "berkmin-luby",
+	"tiered-s3", "berkmin-s3", "take-rand", "chaff-phase", "berkmin-geo", "berkmin-inp",
+}
+
 // Variants returns n named, deliberately different solver configurations:
-// the paper's presets (BerkMin, zChaff-like, limmat-like), the modern
-// branching families (EVSIDS via ModernOptions, LRB) placed early so even
-// small portfolios carry one member of each decider family, restart-policy
-// and polarity variants, and — beyond the base cycle — seed-shifted copies
-// of the same cycle, so any n is valid.
+// the ladder in order and — beyond it — seed-shifted copies of the same
+// ladder, so any n is valid.
 func Variants(n int, baseSeed uint64) []Config {
 	if baseSeed == 0 {
 		baseSeed = 1
 	}
-	base := []Config{
-		{"berkmin", core.DefaultOptions()},
-		{"modern", core.ModernOptions()},
-		{"lrb", core.LrbOptions()},
-		{"tiered", core.TieredOptions()},
-		{"chaff", core.ChaffOptions()},
-		{"limmat", core.LimmatOptions()},
-		{"berkmin-luby", lubyOptions()},
-		{"tiered-s3", tieredStrategy3Options()},
-		{"berkmin-s3", strategy3Options()},
-		{"berkmin-rand", core.BranchOptions(core.PolarityTakeRand)},
-		{"chaff-phase", chaffPhaseOptions()},
-		{"berkmin-geo", geometricOptions()},
-		{"berkmin-inp", core.InprocessingOptions()},
-	}
 	out := make([]Config, 0, n)
 	for i := 0; i < n; i++ {
-		c := base[i%len(base)]
+		name := ladder[i%len(ladder)]
+		c := Config{Name: name, Opt: core.MustPreset(name)}
 		c.Opt.Seed = baseSeed + uint64(i)
-		if i >= len(base) {
-			c.Name = fmt.Sprintf("%s#%d", c.Name, i/len(base))
+		if i >= len(ladder) {
+			c.Name = fmt.Sprintf("%s#%d", c.Name, i/len(ladder))
 		}
 		out = append(out, c)
 	}
 	return out
-}
-
-func lubyOptions() core.Options {
-	o := core.DefaultOptions()
-	o.Restart = core.RestartLuby
-	o.RestartFirst = 100
-	return o
-}
-
-func strategy3Options() core.Options {
-	o := core.DefaultOptions()
-	o.OptimizedGlobalPick = true
-	return o
-}
-
-func tieredStrategy3Options() core.Options {
-	o := core.TieredOptions()
-	o.OptimizedGlobalPick = true
-	return o
-}
-
-func chaffPhaseOptions() core.Options {
-	o := core.ChaffOptions()
-	o.PhaseSaving = true
-	return o
-}
-
-func geometricOptions() core.Options {
-	o := core.DefaultOptions()
-	o.Restart = core.RestartGeometric
-	o.RestartFirst = 100
-	return o
 }
 
 // Race runs the portfolio to the first definitive answer over clones of
