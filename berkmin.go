@@ -470,7 +470,7 @@ type CubeOptions struct {
 	// Jobs is the number of conquer workers (<= 0: GOMAXPROCS).
 	Jobs int
 	// MaxCubes bounds how many cubes the lookahead cuber produces
-	// (0: a few hundred). No cube is longer than ⌈log2 MaxCubes⌉
+	// (0: a few per worker). No cube is longer than ⌈log2 MaxCubes⌉
 	// literals.
 	MaxCubes int
 	// Config configures the (homogeneous) conquer workers; the zero

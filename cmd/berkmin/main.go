@@ -39,9 +39,9 @@ func run() int {
 		timeout      = flag.Duration("timeout", 0, "abort after this wall-clock time (0 = unlimited)")
 		seed         = flag.Uint64("seed", 1, "PRNG seed (deterministic reruns)")
 		jobs         = flag.Int("jobs", 1, "run a portfolio of N diversified solvers in parallel (first answer wins; learnt clauses are shared)")
-		cubeMode     = flag.Bool("cube", false, "solve by cube-and-conquer: a lookahead cuber splits the instance into many cubes, work-stealing workers conquer them in parallel")
+		cubeMode     = flag.Bool("cube", false, "solve by cube-and-conquer: a lookahead cuber splits the instance into a few cubes per worker, work-stealing workers conquer them in parallel")
 		cubeJobs     = flag.Int("cube-jobs", 0, "conquer workers for -cube (0 = GOMAXPROCS)")
-		cubeMax      = flag.Int("cube-max", 0, "bound on the number of cubes for -cube (0 = default)")
+		cubeMax      = flag.Int("cube-max", 0, "bound on the number of cubes for -cube (0 = a few per worker)")
 		noModel      = flag.Bool("no-model", false, "suppress the v-lines on SAT")
 		showStats    = flag.Bool("stats", false, "print search statistics to stderr")
 		proofPath    = flag.String("proof", "", "write a DRUP proof to this file")

@@ -65,6 +65,23 @@ func BenchmarkCubeConquer(b *testing.B) {
 	}
 }
 
+// BenchmarkCubeConquerDefault is BenchmarkCubeConquer at the default cube
+// budget (CubesPerWorker per worker), the one every caller that leaves
+// MaxCubes unset runs with.
+func BenchmarkCubeConquerDefault(b *testing.B) {
+	inst := gen.Pigeonhole(7)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		master := core.New(core.DefaultOptions())
+		master.AddFormula(inst.Formula)
+		r := cube.SolveContext(context.Background(), master, cube.Options{Jobs: 2})
+		if r.Status != core.StatusUnsat {
+			b.Fatalf("status = %v", r.Status)
+		}
+	}
+}
+
 // streamInstance is the query-stream benchmarks' formula: a satisfiable
 // planning encoding on which single assumption queries stay cheap.
 func streamInstance() gen.Instance { return gen.Blocksworld(4, 0, 1) }

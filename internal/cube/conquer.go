@@ -19,7 +19,7 @@ type Options struct {
 	// never more workers than cubes).
 	Jobs int
 	// MaxCubes bounds the open cubes the cuber produces (0 means
-	// DefaultMaxCubes).
+	// CubesPerWorker per worker).
 	MaxCubes int
 	// Conquer configures the workers (zero value means
 	// core.DefaultOptions()). Workers differ only in Seed; the cuber has

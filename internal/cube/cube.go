@@ -23,13 +23,20 @@ import (
 	"time"
 
 	"berkmin/internal/cnf"
+	"berkmin/internal/conc"
 	"berkmin/internal/core"
 )
 
-// DefaultMaxCubes bounds the open leaves the cuber may produce. The split
-// budget halves at each level, so no cube is longer than
-// ⌈log2 MaxCubes⌉ literals.
-const DefaultMaxCubes = 256
+// CubesPerWorker sizes the default cube budget: the cuber aims at
+// CubesPerWorker open cubes per conquer worker. A few cubes each are
+// enough for work stealing to even out uneven cubes, while every further
+// cube costs probes and a search that repeats much of its neighbours'
+// work (pigeonhole 8 on 2 workers: 240 cubes take 2.6 times the
+// conflicts of 16). On perfbench's hard subset, seeds 1–20, 2, 4, 8 and
+// 16 cubes per worker read within a few percent of each other, 4 the
+// lowest. The split budget halves at each level, so no cube is longer
+// than ⌈log2 MaxCubes⌉ literals.
+const CubesPerWorker = 4
 
 // probes is how many candidate variables are probed per split node.
 const probes = 16
@@ -220,7 +227,7 @@ func Split(f *cnf.Formula, opt Options) [][]cnf.Lit {
 // withDefaults resolves the zero values documented on Options.
 func (opt Options) withDefaults() Options {
 	if opt.MaxCubes <= 0 {
-		opt.MaxCubes = DefaultMaxCubes
+		opt.MaxCubes = conc.Jobs(opt.Jobs) * CubesPerWorker
 	}
 	if opt.Conquer == (core.Options{}) {
 		opt.Conquer = core.DefaultOptions()

@@ -24,18 +24,29 @@ func conquer(ctx context.Context, f *cnf.Formula, opt Options) Result {
 // TestSplitShape pins the bound that makes a depth cutoff redundant: the
 // split budget halves at each level, so Split returns at most MaxCubes
 // cubes, none longer than ⌈log2 MaxCubes⌉ literals. 24 covers the uneven
-// split of an odd budget.
+// split of an odd budget; MaxCubes 0 budgets CubesPerWorker per worker.
 func TestSplitShape(t *testing.T) {
 	f := gen.Pigeonhole(7).Formula
+	var cases []Options
 	for _, maxCubes := range []int{8, 24, 32, 256} {
-		maxLen := bits.Len(uint(maxCubes - 1)) // ⌈log2 maxCubes⌉
-		cubes := Split(f, Options{MaxCubes: maxCubes})
-		if len(cubes) == 0 || len(cubes) > maxCubes {
-			t.Fatalf("MaxCubes %d: got %d cubes", maxCubes, len(cubes))
+		cases = append(cases, Options{MaxCubes: maxCubes})
+	}
+	for _, jobs := range []int{1, 2, 4} {
+		cases = append(cases, Options{Jobs: jobs})
+	}
+	for _, opt := range cases {
+		bound := opt.MaxCubes
+		if bound == 0 {
+			bound = opt.Jobs * CubesPerWorker
+		}
+		maxLen := bits.Len(uint(bound - 1)) // ⌈log2 bound⌉
+		cubes := Split(f, opt)
+		if len(cubes) == 0 || len(cubes) > bound {
+			t.Fatalf("%+v: got %d cubes, want 1..%d", opt, len(cubes), bound)
 		}
 		for _, c := range cubes {
 			if len(c) > maxLen {
-				t.Fatalf("MaxCubes %d: cube of %d literals, want at most %d: %v", maxCubes, len(c), maxLen, c)
+				t.Fatalf("%+v: cube of %d literals, want at most %d: %v", opt, len(c), maxLen, c)
 			}
 			seen := map[cnf.Var]bool{}
 			for _, l := range c {

@@ -21,11 +21,16 @@ import (
 	"berkmin/internal/cnf"
 )
 
+// maxLine bounds one input line, which may hold any number of clauses.
+const maxLine = 64 << 20
+
 // Read parses a DIMACS CNF stream.
 func Read(r io.Reader) (*cnf.Formula, error) {
 	f := cnf.New(0)
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<26)
+	// Start from the scanner's small default buffer: it grows by doubling
+	// only for long lines, so a small formula never pays for a large one.
+	sc.Buffer(nil, maxLine)
 	var cur cnf.Clause
 	declaredVars := 0
 	sawHeader := false

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -249,5 +250,50 @@ func TestWriteModel(t *testing.T) {
 	}
 	if lines := strings.Count(buf.String(), "\n"); lines < 2 {
 		t.Fatalf("expected wrapped lines, got %d", lines)
+	}
+}
+
+// TestReadLongLine: the scanner starts small and grows, so a single clause
+// line of a few MiB still parses.
+func TestReadLongLine(t *testing.T) {
+	const n = 700000 // about 4.8 MB of literals on one line
+	var b strings.Builder
+	b.WriteString("p cnf 700000 1\n")
+	for v := 1; v <= n; v++ {
+		b.WriteString(strconv.Itoa(v))
+		b.WriteByte(' ')
+	}
+	b.WriteString("0\n")
+	if b.Len() < 4<<20 {
+		t.Fatalf("line is only %d bytes", b.Len())
+	}
+	f, err := Read(strings.NewReader(b.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f.NumClauses() != 1 || len(f.Clauses[0]) != n {
+		t.Fatalf("got %d clauses, first of %d literals", f.NumClauses(), len(f.Clauses[0]))
+	}
+}
+
+// BenchmarkReadSmall reads a formula of a few KB, the size of most
+// one-shot queries, to keep the per-call fixed cost in view.
+func BenchmarkReadSmall(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	f := cnf.New(100)
+	for i := 0; i < 400; i++ {
+		f.Add(cnf.NewClause(rng.Intn(100)+1, -(rng.Intn(100) + 1), rng.Intn(100)+1))
+	}
+	var buf bytes.Buffer
+	if err := Write(&buf, f); err != nil {
+		b.Fatal(err)
+	}
+	text := buf.Bytes()
+	b.ReportAllocs()
+	b.SetBytes(int64(len(text)))
+	for i := 0; i < b.N; i++ {
+		if _, err := Read(bytes.NewReader(text)); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
