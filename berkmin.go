@@ -197,14 +197,15 @@ func (s *Solver) SetSimplify(opt *SimplifyOptions) {
 
 // AddClause adds a clause given as signed DIMACS literals (±v). A zero
 // literal — which terminates clauses in DIMACS and cannot appear inside
-// one — reports ErrInvalidLiteral and adds nothing. When unsatisfiability
-// has already been established at level 0 the clause is recorded but can
-// no longer constrain anything, which is reported as ErrSolverDead (the
-// solver remains usable; every solve answers UNSAT). Both conditions were
-// a panic and a silent no-op respectively before the error return.
+// one — or a variable above 2³⁰−1 reports ErrInvalidLiteral and adds
+// nothing. When unsatisfiability has already been established at level 0
+// the clause is recorded but can no longer constrain anything, which is
+// reported as ErrSolverDead (the solver remains usable; every solve
+// answers UNSAT). Both conditions were a panic and a silent no-op
+// respectively before the error return.
 func (s *Solver) AddClause(lits ...int) error {
 	for _, l := range lits {
-		if l == 0 {
+		if !cnf.ValidDimacs(l) {
 			return ErrInvalidLiteral
 		}
 	}
@@ -375,12 +376,12 @@ func (s *Solver) Stats() Stats { return s.core.Stats() }
 // literals. On an assumption-caused UNSAT, FailedAssumptions(result) names
 // a contradictory subset. The solver stays usable afterwards — clauses can
 // be added and Solve called again with all learnt clauses retained
-// (incremental solving). A zero literal panics; SolveAssumingContext
-// reports it as ErrInvalidLiteral instead.
+// (incremental solving). A zero or out-of-range literal panics;
+// SolveAssumingContext reports it as ErrInvalidLiteral instead.
 func (s *Solver) SolveAssuming(lits ...int) Result {
 	r, err := s.SolveAssumingContext(context.Background(), lits...)
 	if err == ErrInvalidLiteral {
-		panic("berkmin: assumption literal 0 is not allowed")
+		panic("berkmin: assumption literal is 0 or out of range")
 	}
 	return r
 }

@@ -2,6 +2,7 @@ package berkmin_test
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -38,6 +39,33 @@ func TestAddClauseRejectsZeroLiteral(t *testing.T) {
 	// still empty and trivially satisfiable.
 	if r := s.Solve(); r.Status != berkmin.StatusSat {
 		t.Fatalf("status after rejected clause = %v", r.Status)
+	}
+}
+
+// TestOutOfRangeLiteralsRejected: a variable above 2³⁰−1 cannot be encoded
+// as a literal. Every entry point that takes literals as ints reports it
+// instead of wrapping it onto a smaller variable (4294967297 used to become
+// variable 1).
+func TestOutOfRangeLiteralsRejected(t *testing.T) {
+	s := berkmin.New()
+	for _, l := range []int{1 << 30, -(1 << 30), 1<<32 + 1} {
+		if err := s.AddClause(1, l); !errors.Is(err, berkmin.ErrInvalidLiteral) {
+			t.Fatalf("AddClause(1, %d) err = %v, want ErrInvalidLiteral", l, err)
+		}
+	}
+	if err := s.AddClause(-1); err != nil {
+		t.Fatal(err)
+	}
+	g := s.NewClauseGroup()
+	if err := s.AddClauseGroup(g, 1<<32+1); !errors.Is(err, berkmin.ErrInvalidLiteral) {
+		t.Fatalf("AddClauseGroup err = %v, want ErrInvalidLiteral", err)
+	}
+	if _, err := s.SolveAssumingContext(context.Background(), 1<<32+1); !errors.Is(err, berkmin.ErrInvalidLiteral) {
+		t.Fatalf("SolveAssumingContext err = %v, want ErrInvalidLiteral", err)
+	}
+	// Nothing rejected was recorded: only ¬x1 constrains the formula.
+	if r := s.Solve(); r.Status != berkmin.StatusSat {
+		t.Fatalf("status after rejected literals = %v", r.Status)
 	}
 }
 

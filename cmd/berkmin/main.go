@@ -45,10 +45,8 @@ func run() int {
 		noModel      = flag.Bool("no-model", false, "suppress the v-lines on SAT")
 		showStats    = flag.Bool("stats", false, "print search statistics to stderr")
 		proofPath    = flag.String("proof", "", "write a DRUP proof to this file")
-		strategy3    = flag.Bool("strategy3", false, "use the optimized global variable pick (BerkMin561 strategy 3)")
 		minimize     = flag.Bool("minimize", false, "enable learnt-clause minimization (extension)")
 		preprocess   = flag.Bool("simplify", true, "preprocess before solving: unit propagation, subsumption, self-subsuming resolution, variable elimination (extension)")
-		inprocess    = flag.Bool("inprocess", false, "simplify the clause database during search at restart boundaries (subsumption, strengthening, vivification; extension)")
 		cpuProfile   = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 		memProfile   = flag.String("memprofile", "", "write a pprof heap profile (post-GC live set) to this file on exit")
 	)
@@ -69,15 +67,9 @@ func run() int {
 	opt.MaxConflicts = *maxConflicts
 	opt.MaxTime = *timeout
 	opt.Seed = *seed
-	// The flags add to a preset; they never clear what it sets.
-	if *strategy3 {
-		opt.OptimizedGlobalPick = true
-	}
+	// -minimize adds to a preset; it never clears what the preset sets.
 	if *minimize {
 		opt.MinimizeLearnt = true
-	}
-	if *inprocess {
-		opt.EnableInprocessing()
 	}
 
 	var f *berkmin.Formula
@@ -147,7 +139,7 @@ func run() int {
 		conflicting := ""
 		flag.Visit(func(f *flag.Flag) {
 			switch f.Name {
-			case "config", "strategy3", "minimize", "inprocess":
+			case "config", "minimize":
 				conflicting = f.Name
 			}
 		})

@@ -44,12 +44,12 @@ func (s *Solver) SolveContext(ctx context.Context) (Result, error) {
 }
 
 // SolveAssumingContext is SolveAssuming with context cancellation, and
-// reports ErrInvalidLiteral (instead of panicking) on a zero assumption
-// literal.
+// reports ErrInvalidLiteral (instead of panicking) on a zero or
+// out-of-range assumption literal.
 func (s *Solver) SolveAssumingContext(ctx context.Context, lits ...int) (Result, error) {
 	assumps := make([]cnf.Lit, len(lits))
 	for i, l := range lits {
-		if l == 0 {
+		if !cnf.ValidDimacs(l) {
 			return Result{Status: StatusUnknown}, ErrInvalidLiteral
 		}
 		assumps[i] = cnf.FromDimacs(l)

@@ -9,8 +9,10 @@ import "errors"
 // can map each failure class to its own response.
 var (
 	// ErrInvalidLiteral: a clause or assumption contained literal 0, which
-	// terminates clauses in DIMACS and cannot appear inside one.
-	ErrInvalidLiteral = errors.New("berkmin: literal 0 is not allowed")
+	// terminates clauses in DIMACS and cannot appear inside one, or a
+	// literal whose variable exceeds cnf.MaxDimacsVar (2³⁰−1), the largest
+	// a literal can encode.
+	ErrInvalidLiteral = errors.New("berkmin: literal is 0 or out of range")
 
 	// ErrSolverDead: the formula is already unsatisfiable at level 0 (an
 	// empty clause was derived), so the clause cannot constrain anything

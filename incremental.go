@@ -30,12 +30,13 @@ func (s *Solver) NewClauseGroup() Group {
 }
 
 // AddClauseGroup adds a clause (signed DIMACS literals) to the group. The
-// error contract is AddClause's: ErrInvalidLiteral for a zero literal,
-// ErrSolverDead when unsatisfiability is already established at level 0.
+// error contract is AddClause's: ErrInvalidLiteral for a zero or
+// out-of-range literal, ErrSolverDead when unsatisfiability is already
+// established at level 0.
 // Adding to a released group is accepted and constrains nothing.
 func (s *Solver) AddClauseGroup(g Group, lits ...int) error {
 	for _, l := range lits {
-		if l == 0 {
+		if !cnf.ValidDimacs(l) {
 			return ErrInvalidLiteral
 		}
 	}

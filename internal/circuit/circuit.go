@@ -174,9 +174,6 @@ func (c *Circuit) XorGate(in ...Signal) Signal {
 // XnorGate returns the complemented parity.
 func (c *Circuit) XnorGate(in ...Signal) Signal { return c.addGate(Xnor, in...) }
 
-// NotGate returns the complement (free: just flips the inversion bit).
-func (c *Circuit) NotGate(s Signal) Signal { return s.Invert() }
-
 // BufGate materializes a buffer gate (used by rewrites to perturb
 // structure without changing function).
 func (c *Circuit) BufGate(s Signal) Signal { return c.addGate(Buf, s) }

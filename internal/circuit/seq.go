@@ -106,9 +106,6 @@ func (u *Unroller) Depth() int { return len(u.bad) }
 // NumVars returns the variable count of the encoding so far.
 func (u *Unroller) NumVars() int { return u.b.NumVars() }
 
-// Bad returns frame t's property-failure literal (t < Depth()).
-func (u *Unroller) Bad(t int) cnf.Lit { return u.bad[t] }
-
 // Step stamps the next transition frame — the combinational logic, the
 // property failure, and the materialized next-frame state boundary — and
 // returns the new frame's failure literal (true iff the property is

@@ -105,11 +105,6 @@ func (e Encoding) OutputLit(c *Circuit, i int) cnf.Lit {
 	return cnf.MkLit(e.GateVar[s.Gate()], s.Inverted())
 }
 
-// SignalLit returns the CNF literal of an arbitrary signal.
-func (e Encoding) SignalLit(s Signal) cnf.Lit {
-	return cnf.MkLit(e.GateVar[s.Gate()], s.Inverted())
-}
-
 // ToCNF encodes the circuit alone and asserts that every primary output is
 // true. This is the common "is this condition reachable" query.
 func ToCNF(c *Circuit) (*cnf.Formula, Encoding) {

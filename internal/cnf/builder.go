@@ -65,21 +65,6 @@ func (b *Builder) Unit(l Lit) { b.Clause(l) }
 // Implies adds the clause ¬a ∨ b (a → b).
 func (b *Builder) Implies(a, c Lit) { b.Clause(a.Not(), c) }
 
-// ImpliesAll adds a → c for every c (clauses ¬a ∨ c).
-func (b *Builder) ImpliesAll(a Lit, cs ...Lit) {
-	for _, c := range cs {
-		b.Implies(a, c)
-	}
-}
-
-// ImpliesOr adds the clause a → (c1 ∨ ... ∨ cn).
-func (b *Builder) ImpliesOr(a Lit, cs ...Lit) {
-	clause := make(Clause, 0, len(cs)+1)
-	clause = append(clause, a.Not())
-	clause = append(clause, cs...)
-	b.f.Add(clause)
-}
-
 // Iff adds a ↔ b (two binary clauses).
 func (b *Builder) Iff(a, c Lit) {
 	b.Implies(a, c)

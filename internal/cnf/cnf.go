@@ -39,8 +39,18 @@ func PosLit(v Var) Lit { return Lit(v << 1) }
 // NegLit returns the negative literal of v.
 func NegLit(v Var) Lit { return Lit(v<<1) | 1 }
 
+// MaxDimacsVar is the largest variable a Lit can encode: 2v+1 must fit
+// an int32.
+const MaxDimacsVar = 1<<30 - 1
+
+// ValidDimacs reports whether x is a signed DIMACS literal a Lit can
+// encode: nonzero, with |x| ≤ MaxDimacsVar. FromDimacs wraps anything
+// larger onto a smaller variable, so every reader of external literals
+// checks this first.
+func ValidDimacs(x int) bool { return x != 0 && -MaxDimacsVar <= x && x <= MaxDimacsVar }
+
 // FromDimacs converts a signed DIMACS literal (±v) to a Lit.
-// FromDimacs(0) returns LitUndef.
+// FromDimacs(0) returns LitUndef; x must otherwise be ValidDimacs.
 func FromDimacs(x int) Lit {
 	if x == 0 {
 		return LitUndef

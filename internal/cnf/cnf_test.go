@@ -192,12 +192,6 @@ func TestAssignmentEval(t *testing.T) {
 	if b.Satisfies(f) {
 		t.Fatal("assignment should not satisfy")
 	}
-	if b.FirstFalsified(f) != 1 {
-		t.Fatalf("FirstFalsified = %d", b.FirstFalsified(f))
-	}
-	if a.FirstFalsified(f) != -1 {
-		t.Fatal("FirstFalsified on a model")
-	}
 }
 
 func TestAssignmentValue(t *testing.T) {
@@ -243,7 +237,7 @@ func TestBuilderImplications(t *testing.T) {
 	x, y, z := b.Fresh(), b.Fresh(), b.Fresh()
 	b.Implies(PosLit(x), PosLit(y))
 	b.Iff(PosLit(y), PosLit(z))
-	b.ImpliesOr(PosLit(z), PosLit(x), PosLit(y))
+	b.Clause(NegLit(z), PosLit(x), PosLit(y)) // z → (x ∨ y)
 	f := b.Formula()
 	if f.NumClauses() != 4 {
 		t.Fatalf("clauses = %d", f.NumClauses())

@@ -32,15 +32,3 @@ func (a Assignment) Satisfies(f *Formula) bool {
 	}
 	return true
 }
-
-// FirstFalsified returns the index of the first clause the assignment
-// falsifies, or -1 if the assignment satisfies the formula. Useful in tests
-// for diagnosing bad models.
-func (a Assignment) FirstFalsified(f *Formula) int {
-	for i, c := range f.Clauses {
-		if !a.SatisfiesClause(c) {
-			return i
-		}
-	}
-	return -1
-}

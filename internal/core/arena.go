@@ -19,14 +19,12 @@ import (
 //	[0] header:   size<<hdrSizeShift | flags (learnt/protect/deleted/reloc)
 //	[1] activity: clause_activity of §8 (conflicts the clause caused), or
 //	              the forwarding ref while hdrReloc is set during GC
-//	[2] satCache: a literal that satisfied the clause at its last
-//	              inspection (cheap top-clause scan, §5); LitUndef if none
-//	[3] extra:    glue (LBD — the distinct decision levels of the clause at
+//	[2] extra:    glue (LBD — the distinct decision levels of the clause at
 //	              learn time, improved on reuse) in the low 16 bits, the
 //	              learnt-database tier (CORE/TIER2/LOCAL) in bits 16-17, and
 //	              the touched flag (participated in a conflict since the
 //	              last tiered cleaning) in bit 18
-//	[4..4+size)  the literals
+//	[3..3+size)  the literals
 //
 // Deletion is lazy: free only sets hdrDeleted and accounts the words as
 // wasted; the clause stays readable (its literals are still needed for
@@ -55,9 +53,9 @@ const (
 
 	hdrSizeShift = 4
 
-	// clauseHdrWords is the per-clause overhead: header, activity,
-	// satCache, extra (glue/tier/touched).
-	clauseHdrWords = 4
+	// clauseHdrWords is the per-clause overhead: header, activity, extra
+	// (glue/tier/touched).
+	clauseHdrWords = 3
 )
 
 // clauseTier is a learnt clause's retention class under the glue-aware
@@ -119,7 +117,7 @@ func (a *clauseArena) alloc(lits []cnf.Lit, learnt bool) clauseRef {
 	if learnt {
 		hdr |= hdrLearnt
 	}
-	a.data = append(a.data, hdr, 0, uint32(cnf.LitUndef), 0)
+	a.data = append(a.data, hdr, 0, 0)
 	for _, l := range lits {
 		a.data = append(a.data, uint32(l))
 	}
@@ -150,35 +148,32 @@ func (a *clauseArena) bumpAct(r clauseRef) {
 }
 func (a *clauseArena) setAct(r clauseRef, v int64) { a.data[r+1] = uint32(v) }
 
-func (a *clauseArena) satCache(r clauseRef) cnf.Lit       { return cnf.Lit(a.data[r+2]) }
-func (a *clauseArena) setSatCache(r clauseRef, l cnf.Lit) { a.data[r+2] = uint32(l) }
-
 // glue returns the clause's LBD — the number of distinct decision levels
 // its literals spanned when it was learnt, lowered whenever a recomputation
 // during conflict analysis finds an improvement (analyze.go).
-func (a *clauseArena) glue(r clauseRef) int { return int(a.data[r+3] & xtrGlueMask) }
+func (a *clauseArena) glue(r clauseRef) int { return int(a.data[r+2] & xtrGlueMask) }
 
 func (a *clauseArena) setGlue(r clauseRef, g int) {
 	if g > int(xtrGlueMask) {
 		g = int(xtrGlueMask) // saturate; a glue this high never matters
 	}
-	a.data[r+3] = a.data[r+3]&^xtrGlueMask | uint32(g)
+	a.data[r+2] = a.data[r+2]&^xtrGlueMask | uint32(g)
 }
 
 func (a *clauseArena) tier(r clauseRef) clauseTier {
-	return clauseTier(a.data[r+3]&xtrTierMask) >> xtrTierShift
+	return clauseTier(a.data[r+2]&xtrTierMask) >> xtrTierShift
 }
 
 func (a *clauseArena) setTier(r clauseRef, t clauseTier) {
-	a.data[r+3] = a.data[r+3]&^xtrTierMask | uint32(t)<<xtrTierShift
+	a.data[r+2] = a.data[r+2]&^xtrTierMask | uint32(t)<<xtrTierShift
 }
 
 // touched marks participation in a conflict since the last tiered
 // cleaning: TIER2 clauses that are never touched between cleanings are
 // demoted (reduce.go).
-func (a *clauseArena) touched(r clauseRef) bool { return a.data[r+3]&xtrTouched != 0 }
-func (a *clauseArena) setTouched(r clauseRef)   { a.data[r+3] |= xtrTouched }
-func (a *clauseArena) clearTouched(r clauseRef) { a.data[r+3] &^= xtrTouched }
+func (a *clauseArena) touched(r clauseRef) bool { return a.data[r+2]&xtrTouched != 0 }
+func (a *clauseArena) setTouched(r clauseRef)   { a.data[r+2] |= xtrTouched }
+func (a *clauseArena) clearTouched(r clauseRef) { a.data[r+2] &^= xtrTouched }
 
 // has reports whether the clause contains the literal.
 func (a *clauseArena) has(r clauseRef, l cnf.Lit) bool {

@@ -9,7 +9,8 @@ import (
 )
 
 // TestArenaAllocRoundtrip checks the packed clause layout: size, literals,
-// flags and activity survive storage and are independent between clauses.
+// flags, activity and the glue/tier/touched word survive storage and are
+// independent between clauses.
 func TestArenaAllocRoundtrip(t *testing.T) {
 	var a clauseArena
 	c1 := a.alloc([]cnf.Lit{cnf.PosLit(1), cnf.NegLit(2), cnf.PosLit(3)}, false)
@@ -35,12 +36,17 @@ func TestArenaAllocRoundtrip(t *testing.T) {
 	if a.protect(c1) || !a.protect(c2) {
 		t.Fatal("protect flag wrong")
 	}
-	if a.satCache(c1) != cnf.LitUndef {
-		t.Fatal("fresh clause must have no satCache")
+	a.setGlue(c1, 5)
+	a.setTier(c1, tierCore)
+	a.setTouched(c1)
+	if a.glue(c1) != 5 || a.tier(c1) != tierCore || !a.touched(c1) {
+		t.Fatal("extra word fields lost")
 	}
-	a.setSatCache(c1, cnf.NegLit(2))
-	if a.satCache(c1) != cnf.NegLit(2) || a.satCache(c2) != cnf.LitUndef {
-		t.Fatal("satCache not clause-local")
+	if a.glue(c2) != 0 || a.tier(c2) != tierLocal || a.touched(c2) {
+		t.Fatal("extra word not clause-local")
+	}
+	if a.words() != 2*clauseHdrWords+5 {
+		t.Fatalf("words = %d, want %d", a.words(), 2*clauseHdrWords+5)
 	}
 }
 
@@ -212,9 +218,10 @@ func TestIncrementalSolveAcrossGC(t *testing.T) {
 }
 
 // TestSatCacheStaleNeverMisclassifies is the regression test for the
-// top-clause scan (§5): a satCache literal that has become unassigned or
-// false — or that was stripped out of the clause entirely — must never
-// make an unsatisfied clause look satisfied.
+// top-clause scan (§5): a literal that once satisfied a clause — the one
+// the scan's mirror remembers — that has become unassigned or false, or
+// that was stripped out of the clause entirely, must never make an
+// unsatisfied clause look satisfied.
 func TestSatCacheStaleNeverMisclassifies(t *testing.T) {
 	t.Run("unassigned cache", func(t *testing.T) {
 		s := New(DefaultOptions())
@@ -222,12 +229,12 @@ func TestSatCacheStaleNeverMisclassifies(t *testing.T) {
 		c := addLearnt(s, cnf.PosLit(1), cnf.PosLit(2))
 		s.newDecisionLevel()
 		s.enqueue(cnf.PosLit(1), refUndef)
-		if !s.satisfied(c) || s.ca.satCache(c) != cnf.PosLit(1) {
-			t.Fatal("cache not primed")
+		if top, _ := s.currentTopClause(); !s.satisfied(c) || top != refUndef || s.top.sat[0].lit != cnf.PosLit(1) {
+			t.Fatal("mirror not primed")
 		}
-		s.cancelUntil(0) // x1 unassigned; the cache is now stale
+		s.cancelUntil(0) // x1 unassigned; the mirror literal is now stale
 		if s.satisfied(c) {
-			t.Fatal("stale unassigned cache accepted")
+			t.Fatal("unassigned clause reported satisfied")
 		}
 		if top, _ := s.currentTopClause(); top != c {
 			t.Fatal("top-clause scan skipped the unsatisfied clause")
@@ -240,16 +247,16 @@ func TestSatCacheStaleNeverMisclassifies(t *testing.T) {
 		c := addLearnt(s, cnf.PosLit(1), cnf.PosLit(2))
 		s.newDecisionLevel()
 		s.enqueue(cnf.PosLit(1), refUndef)
-		s.satisfied(c) // cache = x1
+		s.currentTopClause() // mirror = x1
 		s.cancelUntil(0)
 		s.newDecisionLevel()
-		s.enqueue(cnf.NegLit(1), refUndef) // cache literal now false
+		s.enqueue(cnf.NegLit(1), refUndef) // mirror literal now false
 		s.enqueue(cnf.PosLit(2), refUndef) // ...but x2 satisfies the clause
 		if !s.satisfied(c) {
 			t.Fatal("clause with a true literal reported unsatisfied")
 		}
-		if s.ca.satCache(c) != cnf.PosLit(2) {
-			t.Fatalf("cache not refreshed: %v", s.ca.satCache(c))
+		if top, _ := s.currentTopClause(); top != refUndef || s.top.sat[0].lit != cnf.PosLit(2) {
+			t.Fatalf("mirror not refreshed: top %v, lit %v", top, s.top.sat[0].lit)
 		}
 	})
 
@@ -259,8 +266,8 @@ func TestSatCacheStaleNeverMisclassifies(t *testing.T) {
 		c := s.clauses[0]
 		s.newDecisionLevel()
 		s.enqueue(cnf.PosLit(1), refUndef)
-		if !s.satisfied(c) || s.ca.satCache(c) != cnf.PosLit(1) {
-			t.Fatal("cache not primed")
+		if !s.satisfied(c) {
+			t.Fatal("satisfied clause not detected")
 		}
 		s.cancelUntil(0)
 		// x1 false at level 0: the literal is stripped from the clause.
@@ -268,9 +275,6 @@ func TestSatCacheStaleNeverMisclassifies(t *testing.T) {
 		s.simplifyLevel0()
 		if len(s.clauses) != 1 || s.ca.size(s.clauses[0]) != 2 {
 			t.Fatalf("clause not stripped: %v", s.ca.lits(s.clauses[0]))
-		}
-		if s.ca.satCache(s.clauses[0]) != cnf.LitUndef {
-			t.Fatal("satCache must be invalidated when the clause is stripped")
 		}
 		if s.satisfied(s.clauses[0]) {
 			t.Fatal("stripped clause misclassified as satisfied")

@@ -224,7 +224,6 @@ func (s *Solver) strengthenInPlace(w *inpClause, drop cnf.Lit) {
 		}
 	}
 	s.ca.shrink(c, len(out))
-	s.ca.setSatCache(c, cnf.LitUndef)
 	if s.ca.learnt(c) && len(out) >= 2 {
 		s.refreshTierAfterShrink(c)
 	}

@@ -159,7 +159,6 @@ clauses:
 				s.proofDelete(snapshot)
 			}
 			s.ca.shrink(c, len(out))
-			s.ca.setSatCache(c, cnf.LitUndef)
 			if s.ca.learnt(c) && len(out) >= 2 {
 				s.refreshTierAfterShrink(c)
 			}

@@ -208,18 +208,11 @@ func (s *Solver) refreshBinOcc() {
 	}
 }
 
-// satLit returns a literal of the clause that is currently true, or
-// LitUndef, using and refreshing the clause's cached satisfying literal.
-// The cache is only a hint: a cached literal that is no longer true
-// (backtracked, aged out, or stripped from the clause) never
-// short-circuits the full scan.
+// satLit returns the first literal of the clause that is currently true,
+// or LitUndef.
 func (s *Solver) satLit(c clauseRef) cnf.Lit {
-	if cache := s.ca.satCache(c); cache != cnf.LitUndef && s.value(cache) == lTrue {
-		return cache
-	}
 	for _, l := range s.ca.lits(c) {
 		if s.value(l) == lTrue {
-			s.ca.setSatCache(c, l)
 			return l
 		}
 	}

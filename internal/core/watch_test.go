@@ -222,8 +222,9 @@ func TestDetachBothTiers(t *testing.T) {
 	}
 }
 
-// TestSatisfiedCache: the blocker cache answers without rescanning, and is
-// invalidated correctly by value changes.
+// TestSatisfiedCache: satisfied follows the current assignment — a clause
+// is satisfied while one of its literals is true, and not after a backtrack
+// unassigns it.
 func TestSatisfiedCache(t *testing.T) {
 	s := New(DefaultOptions())
 	s.ensureVars(3)
@@ -236,12 +237,12 @@ func TestSatisfiedCache(t *testing.T) {
 	if !s.satisfied(c) {
 		t.Fatal("satisfied clause not detected")
 	}
-	if s.ca.satCache(c) != cnf.PosLit(2) {
-		t.Fatalf("cache = %v", s.ca.satCache(c))
+	if l := s.satLit(c); l != cnf.PosLit(2) {
+		t.Fatalf("satLit = %v", l)
 	}
 	s.cancelUntil(0)
 	if s.satisfied(c) {
-		t.Fatal("stale cache accepted after backtrack")
+		t.Fatal("unassigned clause reported satisfied after backtrack")
 	}
 }
 

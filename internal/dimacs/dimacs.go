@@ -57,6 +57,9 @@ func Read(r io.Reader) (*cnf.Formula, error) {
 			if err != nil {
 				return nil, fmt.Errorf("dimacs: line %d: bad variable count: %v", lineNo, err)
 			}
+			if v > cnf.MaxDimacsVar {
+				return nil, fmt.Errorf("dimacs: line %d: variable count %d out of range (variables go up to %d)", lineNo, v, cnf.MaxDimacsVar)
+			}
 			if _, err := strconv.Atoi(fields[3]); err != nil {
 				return nil, fmt.Errorf("dimacs: line %d: bad clause count: %v", lineNo, err)
 			}
@@ -76,6 +79,9 @@ func Read(r io.Reader) (*cnf.Formula, error) {
 				f.Add(cur)
 				cur = nil
 				continue
+			}
+			if !cnf.ValidDimacs(x) {
+				return nil, fmt.Errorf("dimacs: line %d: literal %q out of range (variables go up to %d)", lineNo, tok, cnf.MaxDimacsVar)
 			}
 			cur = append(cur, cnf.FromDimacs(x))
 		}

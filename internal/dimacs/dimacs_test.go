@@ -96,11 +96,28 @@ func TestReadErrors(t *testing.T) {
 		"p dnf 2 2\n1 0\n",
 		"p cnf 2 2\n1 z 0\n",
 		"",
+		// Variables beyond cnf.MaxDimacsVar: they used to wrap onto a
+		// smaller variable, or past the int32 range and crash the solver.
+		"p cnf 2 1\n1073741824 -1 0\n",
+		"p cnf 1 2\n4294967297 0\n-1 0\n",
+		"-1073741824 0\n",
+		"p cnf 4294967297 0\n",
 	}
 	for _, in := range cases {
 		if _, err := Read(strings.NewReader(in)); err == nil {
 			t.Errorf("expected error for %q", in)
 		}
+	}
+}
+
+// TestReadLargestVariable: cnf.MaxDimacsVar itself still parses.
+func TestReadLargestVariable(t *testing.T) {
+	f, err := Read(strings.NewReader("1073741823 -1073741823 0\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := f.Clauses[0][1].Dimacs(); got != -1073741823 {
+		t.Fatalf("largest variable read as %d", got)
 	}
 }
 

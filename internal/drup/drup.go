@@ -76,6 +76,9 @@ func ParseProof(r io.Reader) ([]Step, error) {
 				closed = true
 				break
 			}
+			if !cnf.ValidDimacs(x) {
+				return nil, fmt.Errorf("drup: line %d: literal %q out of range (variables go up to %d)", lineNo, fields[i], cnf.MaxDimacsVar)
+			}
 			st.Lits = append(st.Lits, cnf.FromDimacs(x))
 		}
 		if !closed {

@@ -29,7 +29,7 @@ func TestParseProof(t *testing.T) {
 }
 
 func TestParseErrors(t *testing.T) {
-	for _, in := range []string{"1 2\n", "x 0\n"} {
+	for _, in := range []string{"1 2\n", "x 0\n", "1073741824 0\n", "d -4294967297 0\n"} {
 		if _, err := drup.ParseProof(strings.NewReader(in)); err == nil {
 			t.Errorf("expected parse error for %q", in)
 		}

@@ -64,15 +64,6 @@ type Result struct {
 	Jobs []JobRun
 }
 
-// SharedClauses sums the clauses each member exported to the others.
-func (r *Result) SharedClauses() uint64 {
-	var n uint64
-	for _, j := range r.Jobs {
-		n += j.Result.Stats.ExportedClauses
-	}
-	return n
-}
-
 // ladder lists the portfolio members in order by their core preset
 // names: the paper's presets (BerkMin, zChaff-like, limmat-like), the
 // modern branching families (EVSIDS via modern, LRB) placed early so even

@@ -103,7 +103,11 @@ func TestClauseSharing(t *testing.T) {
 	if r.Status != core.StatusUnsat {
 		t.Fatalf("status = %v", r.Status)
 	}
-	if r.SharedClauses() == 0 {
+	var shared uint64
+	for _, j := range r.Jobs {
+		shared += j.Result.Stats.ExportedClauses
+	}
+	if shared == 0 {
 		t.Fatal("no clauses shared between members")
 	}
 }

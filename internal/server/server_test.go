@@ -317,11 +317,13 @@ func TestClientDisconnectFreesWorker(t *testing.T) {
 }
 
 // TestFairnessCheapBeforePathological: with one worker and slicing on, a
-// cheap query submitted after a pathological one must not wait for the
-// pathological one's full deadline.
+// cheap query submitted after a pathological one must be answered while
+// the pathological one is still running. hole8 spans many 20 ms slices
+// (about 0.3 s plain, 4 s under the race detector) yet ends well inside
+// its 20 s deadline.
 func TestFairnessCheapBeforePathological(t *testing.T) {
 	_, ts := testServer(t, Config{Workers: 1, FairSlice: 20 * time.Millisecond})
-	putFormula(t, ts, "hard", berkmin.Pigeonhole(9).Formula)
+	putFormula(t, ts, "hard", berkmin.Pigeonhole(8).Formula)
 	putFormula(t, ts, "easy", berkmin.Queens(5).Formula)
 
 	hardDone := make(chan solveReply, 1)
@@ -340,10 +342,15 @@ func TestFairnessCheapBeforePathological(t *testing.T) {
 	if cheapLatency > 5*time.Second {
 		t.Fatalf("cheap query waited %v behind a pathological one", cheapLatency)
 	}
+	select {
+	case rep := <-hardDone:
+		t.Fatalf("cheap query answered only after the pathological one (%s)", rep.Status)
+	default:
+	}
 
 	rep = <-hardDone
-	// The pathological query still completes (hole9 solves in ~1s) and
-	// reports that it went through the slow lane.
+	// The pathological query still completes and reports that it went
+	// through the slow lane.
 	if rep.Status != "UNSATISFIABLE" {
 		t.Fatalf("pathological query = %s (%s)", rep.Status, rep.Error)
 	}
@@ -392,11 +399,28 @@ func TestAdmissionLimits(t *testing.T) {
 	}
 }
 
+// TestOutOfRangeLiteralIs400: a literal beyond the encodable range is a
+// parse error. It used to wrap past the int32 range and panic a worker,
+// which took the whole daemon down.
+func TestOutOfRangeLiteralIs400(t *testing.T) {
+	_, ts := testServer(t, Config{})
+	resp, err := http.Post(ts.URL+"/solve", "text/plain", strings.NewReader("p cnf 2 1\n1073741824 -1 0\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("out-of-range literal = %d, want 400", resp.StatusCode)
+	}
+}
+
 func TestInvalidAssumptionLiteral(t *testing.T) {
 	_, ts := testServer(t, Config{})
 	putFormula(t, ts, "f", berkmin.Queens(5).Formula)
-	resp, _ := postJSON(t, ts.URL+"/formulas/f/solve", solveRequest{Assumptions: []int{0}})
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("literal-0 assumption = %d, want 400", resp.StatusCode)
+	for _, l := range []int{0, 1<<32 + 1} {
+		resp, _ := postJSON(t, ts.URL+"/formulas/f/solve", solveRequest{Assumptions: []int{l}})
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("assumption %d = %d, want 400", l, resp.StatusCode)
+		}
 	}
 }
