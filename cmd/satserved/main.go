@@ -45,7 +45,7 @@ func run() int {
 	flag.IntVar(&cfg.QueueDepth, "queue", 0, "queue depth per lane before shedding with 429 (0 = default 2048)")
 	flag.IntVar(&cfg.PoolSize, "pool", 0, "idle warm solvers retained per formula (0 = 2*workers)")
 	flag.IntVar(&cfg.MaxFormulas, "max-formulas", 0, "stored formula cap (0 = default 256)")
-	flag.IntVar(&cfg.MaxVars, "max-vars", 0, "per-formula variable cap (0 = unlimited)")
+	flag.IntVar(&cfg.MaxVars, "max-vars", 0, "per-formula variable cap, also applied to the variables a query's assumptions and temp_clauses name (0 = unlimited)")
 	flag.IntVar(&cfg.MaxClauses, "max-clauses", 0, "per-formula clause cap (0 = unlimited)")
 	flag.Int64Var(&cfg.MaxBodyBytes, "max-body", 0, "request body byte cap (0 = default 64 MiB)")
 	flag.IntVar(&cfg.MaxBatch, "max-batch", 0, "queries per batch request (0 = default 4096)")

@@ -44,8 +44,7 @@ func (s *Solver) AddClauseGroup(g Group, lits ...int) error {
 	wasDead := s.core.Dead()
 	// Build C ∨ ¬t once. The pristine mirror keeps it — recording what the
 	// solver actually enforces keeps model verification and ProofFormula
-	// exact — and the core only reads it: core.AddGroupClause would build
-	// the same clause and add it the same way.
+	// exact — and core.AddClause only reads it.
 	ext := make(cnf.Clause, len(lits)+1)
 	for i, l := range lits {
 		ext[i] = cnf.FromDimacs(l)

@@ -214,7 +214,7 @@ func (s *Solver) record(learnt []cnf.Lit) {
 	glue := s.lastGlue
 	s.noteGlue(glue)
 	s.exportLearnt(learnt, glue)
-	s.proofAdd(learnt)
+	s.proof.Add(learnt)
 	if len(learnt) == 1 {
 		// Asserted at level 0; nothing is stored, the assignment is kept.
 		s.enqueue(learnt[0], refUndef)

@@ -209,7 +209,7 @@ func TestDecideCachesMatchNaiveStream(t *testing.T) {
 				for i := 0; i < rounds; i++ {
 					g := s.NewGroup()
 					for k := 0; k < 4; k++ {
-						s.AddGroupClause(g, randomClause(rng, nv, 3))
+						addGroupClause(s, g, randomClause(rng, nv, 3))
 					}
 					query(s)
 					query(s)

@@ -5,10 +5,11 @@ import "berkmin/internal/cnf"
 // Clause groups: temporary/removable clauses for incremental query streams
 // (IC3/BMC), the MiniSat-lineage activation-literal technique the paper's
 // era predates. Each group owns a fresh ACTIVATION VARIABLE t: a clause C
-// added to the group is stored as (C ∨ ¬t), so it constrains the search
-// only while t is assumed true — and every Solve/SolveAssuming call
-// automatically assumes t for every live group. Releasing the group asserts
-// the unit ¬t at level 0, which permanently satisfies all its clauses; the
+// of the group is added through AddClause as (C ∨ ¬t) (GroupLit gives t),
+// so it constrains the search only while t is assumed true — and every
+// Solve/SolveAssuming call automatically assumes t for every live group.
+// Releasing the group asserts the unit ¬t at level 0, which permanently
+// satisfies all its clauses (one added later is dropped as satisfied); the
 // existing level-0 simplification then physically reaps them (with DRUP
 // deletion lines) and the arena GC reclaims the space.
 //
@@ -38,7 +39,7 @@ type groupInfo struct {
 
 // NewGroup mints a clause group with a fresh activation variable. Must be
 // called between Solve calls. The activation variable is internal: callers
-// must not mention it in clauses or assumptions.
+// mention it only as ¬t in the group's own clauses, never in assumptions.
 func (s *Solver) NewGroup() GroupID {
 	v := cnf.Var(s.nVars + 1)
 	s.ensureVars(int(v))
@@ -63,21 +64,6 @@ func (s *Solver) GroupLit(g GroupID) cnf.Lit { return cnf.PosLit(s.groups[g-1].a
 // GroupReleased reports whether the group has been released.
 func (s *Solver) GroupReleased(g GroupID) bool { return s.groups[g-1].released }
 
-// AddGroupClause adds c to the group: the clause is enforced by every solve
-// while the group is live and evaporates when it is released. Adding to a
-// released group is a no-op (its activation literal is already false
-// forever). Like AddClause it must be called between Solve calls.
-func (s *Solver) AddGroupClause(g GroupID, c cnf.Clause) {
-	// The extended clause C ∨ ¬t goes down the ordinary AddClause path: if
-	// the group is already released, ¬t is true at level 0 and the clause
-	// is dropped as satisfied; if C normalizes away entirely, AddClause
-	// asserts the unit ¬t, correctly making the group unactivatable. A
-	// caller that already holds C ∨ ¬t (GroupLit gives ¬t) may pass it to
-	// AddClause directly.
-	s.addBuf = append(append(s.addBuf[:0], c...), cnf.NegLit(s.groups[g-1].act))
-	s.addBuffered()
-}
-
 // ReleaseGroup retires the group: the unit ¬t is asserted at level 0 (and
 // logged as a DRUP addition — it is an axiom of the extended verification
 // formula, see the package comment above), permanently satisfying every
@@ -96,19 +82,19 @@ func (s *Solver) ReleaseGroup(g GroupID) bool {
 		return true
 	}
 	unit := [1]cnf.Lit{cnf.NegLit(info.act)}
-	s.proofAdd(unit[:])
+	s.proof.Add(unit[:])
 	// t can only be true at level 0 if the extended formula is UNSAT
 	// outright (t occurs purely negatively in problem clauses, so nothing
 	// satisfiable implies it): with the release axiom on record the
 	// resulting empty clause is RUP, and marking the solver dead is sound.
 	if !s.enqueue(unit[0], refUndef) {
 		s.ok = false
-		s.proofEmpty()
+		s.proof.Add(nil)
 		return true
 	}
 	if confl := s.propagate(); confl != refUndef {
 		s.ok = false
-		s.proofEmpty()
+		s.proof.Add(nil)
 	}
 	return true
 }
@@ -128,7 +114,7 @@ func (s *Solver) reapReleased() {
 	}
 	if confl := s.propagate(); confl != refUndef {
 		s.ok = false
-		s.proofEmpty()
+		s.proof.Add(nil)
 		return
 	}
 	s.simplifyLevel0()

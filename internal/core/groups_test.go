@@ -9,9 +9,9 @@ import (
 	"berkmin/internal/drup"
 )
 
-// addRaw mirrors a clause into a formula, extended with the group's
-// negated activation literal — the shape AddGroupClause actually stores
-// and the shape a DRUP trace must be verified against.
+// extendClause returns c extended with the group's negated activation
+// literal — the shape a group clause is stored in and the shape a DRUP
+// trace must be verified against.
 func extendClause(s *Solver, g GroupID, c cnf.Clause) cnf.Clause {
 	ext := append(c.Clone(), s.GroupLit(g).Not())
 	return ext
@@ -28,9 +28,9 @@ func TestGroupLifecycle(t *testing.T) {
 
 	g := s.NewGroup()
 	// The group is internally contradictory: (4 ∨ 5), (¬4), (¬5).
-	s.AddGroupClause(g, cnf.NewClause(4, 5))
-	s.AddGroupClause(g, cnf.NewClause(-4))
-	s.AddGroupClause(g, cnf.NewClause(-5))
+	addGroupClause(s, g, cnf.NewClause(4, 5))
+	addGroupClause(s, g, cnf.NewClause(-4))
+	addGroupClause(s, g, cnf.NewClause(-5))
 
 	if r := s.Solve(); r.Status != StatusUnsat {
 		t.Fatalf("live contradictory group: %v, want UNSAT", r.Status)
@@ -80,10 +80,10 @@ func TestGroupReleaseReapsClauses(t *testing.T) {
 	// A mix of tiers: the 2-literal raw clauses store as 3-literal arena
 	// clauses, the unit raw clauses as binaries; (6) ∧ (¬6) makes the
 	// group contradictory while live.
-	s.AddGroupClause(g, cnf.NewClause(4, 5))
-	s.AddGroupClause(g, cnf.NewClause(-4, -5))
-	s.AddGroupClause(g, cnf.NewClause(6))
-	s.AddGroupClause(g, cnf.NewClause(-6))
+	addGroupClause(s, g, cnf.NewClause(4, 5))
+	addGroupClause(s, g, cnf.NewClause(-4, -5))
+	addGroupClause(s, g, cnf.NewClause(6))
+	addGroupClause(s, g, cnf.NewClause(-6))
 	if r := s.Solve(); r.Status != StatusUnsat {
 		t.Fatalf("live group solve: %v, want UNSAT", r.Status)
 	}
@@ -125,9 +125,9 @@ func TestUnsatCoreValidatedByResolve(t *testing.T) {
 
 	// g1 is innocent; g2 + the assumption ¬2 contradict the base clause.
 	g1 := s.NewGroup()
-	s.AddGroupClause(g1, cnf.NewClause(1, 2)) // redundant, never in a core
+	addGroupClause(s, g1, cnf.NewClause(1, 2)) // redundant, never in a core
 	g2 := s.NewGroup()
-	s.AddGroupClause(g2, cnf.NewClause(-1))
+	addGroupClause(s, g2, cnf.NewClause(-1))
 	raw := map[GroupID][]cnf.Clause{
 		g1: {cnf.NewClause(1, 2)},
 		g2: {cnf.NewClause(-1)},
@@ -330,8 +330,8 @@ func TestGroupsSurviveCloneReset(t *testing.T) {
 	base.Add(cnf.NewClause(1, 2))
 	s.AddFormula(base)
 	g := s.NewGroup()
-	s.AddGroupClause(g, cnf.NewClause(-1))
-	s.AddGroupClause(g, cnf.NewClause(-2))
+	addGroupClause(s, g, cnf.NewClause(-1))
+	addGroupClause(s, g, cnf.NewClause(-2))
 
 	if r := s.Solve(); r.Status != StatusUnsat {
 		t.Fatalf("master: %v, want UNSAT under the live group", r.Status)
@@ -379,7 +379,7 @@ func TestDropGroups(t *testing.T) {
 				})
 			}
 			held := master.NewGroup()
-			master.AddGroupClause(held, cnf.NewClause(-1, -2))
+			addGroupClause(master, held, cnf.NewClause(-1, -2))
 			n, keep := master.NumVars(), master.NumGroups()
 
 			w := master.Clone()
@@ -393,8 +393,8 @@ func TestDropGroups(t *testing.T) {
 							cnf.MkLit(cnf.Var(1+rng.Intn(n)), rng.Intn(2) == 0),
 							cnf.MkLit(cnf.Var(1+rng.Intn(n+4)), rng.Intn(2) == 0), // may name a fresh variable
 						}
-						w.AddGroupClause(g, c)
-						fresh.AddGroupClause(fg, c)
+						addGroupClause(w, g, c)
+						addGroupClause(fresh, fg, c)
 					}
 					temps = append(temps, g)
 				}
@@ -455,12 +455,12 @@ func TestGroupReleaseProofDRUP(t *testing.T) {
 
 	g1 := s.NewGroup()
 	for _, c := range []cnf.Clause{cnf.NewClause(9, 10), cnf.NewClause(-9), cnf.NewClause(-10)} {
-		s.AddGroupClause(g1, c)
+		addGroupClause(s, g1, c)
 		ext.Add(extendClause(s, g1, c))
 	}
 	g2 := s.NewGroup()
 	for _, c := range []cnf.Clause{cnf.NewClause(11, 12), cnf.NewClause(-11, 12)} {
-		s.AddGroupClause(g2, c)
+		addGroupClause(s, g2, c)
 		ext.Add(extendClause(s, g2, c))
 	}
 
@@ -503,4 +503,10 @@ func TestGroupReleaseProofDRUP(t *testing.T) {
 	if !res.EmptyDerived {
 		t.Fatalf("proof never derives the empty clause: %+v", res)
 	}
+}
+
+// addGroupClause adds c to the group as the front end does: the extended
+// clause C ∨ ¬t goes down the ordinary AddClause path.
+func addGroupClause(s *Solver, g GroupID, c cnf.Clause) {
+	s.AddClause(extendClause(s, g, c))
 }

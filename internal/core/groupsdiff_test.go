@@ -93,7 +93,7 @@ func FuzzGroupsDifferential(f *testing.F) {
 				c := groupFuzzClause(b)
 				raw[g] = append(raw[g], c)
 				ext.Add(append(c.Clone(), s.GroupLit(g).Not()))
-				s.AddGroupClause(g, c)
+				addGroupClause(s, g, c)
 			case 2: // release some group
 				if len(order) == 0 {
 					continue
@@ -200,7 +200,7 @@ func BenchmarkGroupRelease(b *testing.B) {
 		g := s.NewGroup()
 		for j := 0; j < 8; j++ {
 			v := i*7%110 + 1
-			s.AddGroupClause(g, cnf.NewClause(v, -(v%110+1), (v+j)%110+1))
+			addGroupClause(s, g, cnf.NewClause(v, -(v%110+1), (v+j)%110+1))
 		}
 		s.Solve()
 		s.ReleaseGroup(g)

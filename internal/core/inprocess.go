@@ -61,7 +61,7 @@ func (s *Solver) inprocess() {
 		s.rebuildBinOcc()
 		if confl := s.propagate(); confl != refUndef {
 			s.ok = false
-			s.proofEmpty()
+			s.proof.Add(nil)
 			return
 		}
 	}
@@ -174,7 +174,7 @@ func (s *Solver) subsumePass() bool {
 					continue
 				}
 				if cnf.Clause(s.ca.lits(d.ref)).ContainsAll(lits) {
-					s.proofDelete(s.ca.lits(d.ref))
+					s.proof.Delete(s.ca.lits(d.ref))
 					s.ca.free(d.ref)
 					s.stats.SubsumedClauses++
 					changed = true
@@ -215,8 +215,8 @@ func (s *Solver) subsumePass() bool {
 // retained level-0 assignment; to a conflicting unit, level-0 UNSAT.
 func (s *Solver) strengthenInPlace(w *inpClause, drop cnf.Lit) {
 	c := w.ref
-	s.inpSnap = s.proofSnapshot(s.inpSnap, c)
 	lits := s.ca.lits(c)
+	old := s.proof.Snapshot(lits)
 	out := lits[:0]
 	for _, x := range lits {
 		if x != drop {
@@ -229,14 +229,14 @@ func (s *Solver) strengthenInPlace(w *inpClause, drop cnf.Lit) {
 	}
 	w.sig = cnf.Clause(out).Signature()
 	s.stats.StrengthenedLits++
-	s.proofShrink(out, s.inpSnap)
+	s.proof.Edit(out, old)
 	if len(out) == 1 {
 		// Retained as a level-0 assignment, not a clause (propagated by
 		// the fixpoint pass that follows subsumePass).
 		s.ca.free(c)
 		if !s.enqueue(out[0], refUndef) {
 			s.ok = false
-			s.proofEmpty()
+			s.proof.Add(nil)
 		}
 	}
 }
@@ -317,7 +317,7 @@ func (s *Solver) vivifyClause(i int) bool {
 		return false
 	}
 	s.stats.VivifiedClauses++
-	s.proofShrink(keep, lits)
+	s.proof.Edit(keep, lits)
 	act, prot := s.ca.act(c), s.ca.protect(c)
 	glue, tier, touch := s.ca.glue(c), s.ca.tier(c), s.ca.touched(c)
 	s.detach(c)
@@ -325,19 +325,19 @@ func (s *Solver) vivifyClause(i int) bool {
 	switch len(keep) {
 	case 0:
 		// Every literal was level-0 false — the formula is refuted, and
-		// proofShrink already emitted the empty clause. (Unreachable in
+		// the Edit above already logged the empty clause. (Unreachable in
 		// practice: the propagation fixpoint that falsified the last
 		// literal would already have conflicted at level 0.)
 		s.ok = false
 	case 1:
 		if !s.enqueue(keep[0], refUndef) {
 			s.ok = false
-			s.proofEmpty()
+			s.proof.Add(nil)
 			return true
 		}
 		if s.propagate() != refUndef {
 			s.ok = false
-			s.proofEmpty()
+			s.proof.Add(nil)
 			return true
 		}
 	default:

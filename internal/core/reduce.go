@@ -27,7 +27,7 @@ func (s *Solver) reduceDB() {
 	// Finish pending level-0 propagation first.
 	if confl := s.propagate(); confl != refUndef {
 		s.ok = false
-		s.proofEmpty()
+		s.proof.Add(nil)
 		return
 	}
 	if len(s.trail) != s.simpTrail {
@@ -67,7 +67,7 @@ func (s *Solver) reduceDB() {
 	s.recountTiers()
 	if confl := s.propagate(); confl != refUndef {
 		s.ok = false
-		s.proofEmpty()
+		s.proof.Add(nil)
 	}
 }
 
@@ -105,10 +105,8 @@ func (s *Solver) clearLevel0Reasons() {
 		if s.reason[v] == refUndef {
 			continue
 		}
-		if s.proof != nil {
-			unit := [1]cnf.Lit{l}
-			s.proofAdd(unit[:])
-		}
+		unit := [1]cnf.Lit{l}
+		s.proof.Add(unit[:])
 		s.reason[v] = refUndef
 	}
 }
@@ -126,7 +124,7 @@ clauses:
 				if len(lits) == 2 && !s.ca.learnt(c) {
 					s.binOccStale = true
 				}
-				s.proofDelete(lits)
+				s.proof.Delete(lits)
 				s.ca.free(c)
 				continue clauses
 			case lFalse:
@@ -134,10 +132,7 @@ clauses:
 			}
 		}
 		if strip {
-			var snapshot []cnf.Lit
-			if s.proof != nil {
-				snapshot = append([]cnf.Lit(nil), lits...)
-			}
+			old := s.proof.Snapshot(lits)
 			n := len(lits)
 			// Compact the surviving literals to the front of the clause's
 			// arena slot, then shrink it in place; the cut tail becomes
@@ -154,10 +149,7 @@ clauses:
 			}
 			// Proof: the strengthened clause is RUP given the level-0
 			// units; log it before retiring the original.
-			s.proofAdd(out)
-			if snapshot != nil {
-				s.proofDelete(snapshot)
-			}
+			s.proof.Edit(out, old)
 			s.ca.shrink(c, len(out))
 			if s.ca.learnt(c) && len(out) >= 2 {
 				s.refreshTierAfterShrink(c)
@@ -167,14 +159,14 @@ clauses:
 				s.ca.free(c) // retained as a level-0 assignment, not a clause
 				if !s.enqueue(out[0], refUndef) {
 					s.ok = false
-					s.proofEmpty()
+					s.proof.Add(nil)
 					return kept
 				}
 				continue
 			case 0:
 				s.ca.free(c)
 				s.ok = false
-				s.proofEmpty()
+				s.proof.Add(nil)
 				return kept
 			}
 		}
@@ -241,7 +233,7 @@ func (s *Solver) reduceBerkMin() {
 			kept = append(kept, c)
 		} else {
 			s.stats.DeletedTotal++
-			s.proofDelete(s.ca.lits(c))
+			s.proof.Delete(s.ca.lits(c))
 			s.ca.free(c)
 		}
 	}
@@ -392,7 +384,7 @@ func (s *Solver) reduceTiered() {
 		}
 		s.stats.DeletedTotal++
 		s.tierGaugeAdd(tierLocal, -1)
-		s.proofDelete(s.ca.lits(c))
+		s.proof.Delete(s.ca.lits(c))
 		s.ca.free(c)
 	}
 	s.learnts = dropDeleted(&s.ca, s.learnts)
@@ -414,7 +406,7 @@ func (s *Solver) reduceLimitedKeeping() {
 			kept = append(kept, c)
 		} else {
 			s.stats.DeletedTotal++
-			s.proofDelete(s.ca.lits(c))
+			s.proof.Delete(s.ca.lits(c))
 			s.ca.free(c)
 		}
 	}

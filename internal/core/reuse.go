@@ -65,7 +65,7 @@ func (s *Solver) dropSearch() {
 	if s.ok {
 		if confl := s.propagate(); confl != refUndef {
 			s.ok = false
-			s.proofEmpty()
+			s.proof.Add(nil)
 		}
 	}
 
@@ -76,7 +76,7 @@ func (s *Solver) dropSearch() {
 	// their addition lines remain, which a checker accepts.
 	s.clearLevel0Reasons()
 	for _, c := range s.learnts {
-		s.proofDelete(s.ca.lits(c))
+		s.proof.Delete(s.ca.lits(c))
 		s.ca.free(c)
 	}
 	s.learnts = s.learnts[:0]

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"berkmin/internal/cnf"
+	"berkmin/internal/drup"
 )
 
 // Status is a solver verdict.
@@ -197,13 +198,12 @@ type Solver struct {
 
 	// Inprocessing scratch (inprocess.go), reused so steady-state passes
 	// allocate nothing: work list, per-literal occurrence index, size
-	// order, vivification literal buffers, proof-deletion snapshot.
+	// order, vivification literal buffers.
 	inpWork  []inpClause
 	inpOcc   [][]int32
 	inpOrder []int32
 	inpLits  []cnf.Lit
 	inpKeep  []cnf.Lit
-	inpSnap  []cnf.Lit
 
 	rng xorshift
 
@@ -237,8 +237,7 @@ type Solver struct {
 	oldThreshold   int64 // ReduceBerkMin's growing old-clause activity threshold
 	stats          Stats
 	deadline       time.Time
-	proof          io.Writer // optional DRUP proof log
-	proofBuf       []byte    // reusable DRUP line buffer (drup.AppendLine)
+	proof          *drup.Log // optional DRUP proof log; nil logs nothing
 }
 
 // New returns a Solver with the given options.
@@ -250,11 +249,14 @@ func New(opt Options) *Solver {
 	return s
 }
 
-// SetProofWriter directs a DRUP proof of unsatisfiability to w. Must be
-// called before any AddClause. Clause learning, deletion and
-// strengthening events are logged; a final empty clause is emitted when
-// the solver answers UNSAT. The proof can be validated with package drup.
-func (s *Solver) SetProofWriter(w io.Writer) { s.proof = w }
+// SetProofWriter directs a DRUP proof of unsatisfiability to w (nil
+// detaches it). Must be called before any AddClause. Every learnt clause
+// is logged as an addition, every removed or strengthened clause as a
+// deletion, and the empty clause when UNSAT is established; the trace
+// checks with package drup (and with drat-trim style tools). Proof logging
+// is an extension beyond the paper — BerkMin predates DRUP — added because
+// it lets the test suite independently verify every UNSAT answer.
+func (s *Solver) SetProofWriter(w io.Writer) { s.proof = drup.NewLog(w) }
 
 // NumVars returns the number of variables the solver knows about.
 func (s *Solver) NumVars() int { return s.nVars }
@@ -351,17 +353,17 @@ func (s *Solver) addBuffered() {
 	switch len(out) {
 	case 0:
 		s.ok = false
-		s.proofEmpty()
+		s.proof.Add(nil)
 		return
 	case 1:
 		if !s.enqueue(out[0], refUndef) {
 			s.ok = false
-			s.proofEmpty()
+			s.proof.Add(nil)
 			return
 		}
 		if confl := s.propagate(); confl != refUndef {
 			s.ok = false
-			s.proofEmpty()
+			s.proof.Add(nil)
 		}
 		return
 	}
@@ -561,7 +563,7 @@ func (s *Solver) solve(assumptions []cnf.Lit) (res Result) {
 		// e.g. on a Clone of a dead master, which never saw the original
 		// event — still receives a complete trace; the level-0 refutation
 		// is RUP against the formula, so a duplicate line stays valid.
-		s.proofEmpty()
+		s.proof.Add(nil)
 		return s.finish(StatusUnsat, nil)
 	}
 
@@ -579,7 +581,7 @@ func (s *Solver) solve(assumptions []cnf.Lit) (res Result) {
 			s.sinceAging++
 			if s.decisionLevel() == 0 {
 				s.ok = false
-				s.proofEmpty()
+				s.proof.Add(nil)
 				return s.finish(StatusUnsat, nil)
 			}
 			learnt, btLevel := s.analyze(confl)

@@ -90,23 +90,20 @@ func (s *Solver) propagate() clauseRef {
 	return refUndef
 }
 
-// detach removes a single clause's watcher entries from its tier, leaving
-// every other list untouched. The clause must currently be attached with
-// its present size: binary clauses sit in both binWatches lists, longer
-// clauses keep their watched literals in slots 0 and 1 under propagation,
-// so those two lists are the only ones to scan. Inprocessing uses this to
-// replace one clause without the wholesale rebuild reduceDB does.
+// detach removes a single learnt clause's watcher entries from its tier,
+// leaving every other list untouched. It handles learnt clauses only:
+// those have no nb_two partner entries to drop. The clause must currently
+// be attached with its present size: binary clauses sit in both binWatches
+// lists, longer clauses keep their watched literals in slots 0 and 1 under
+// propagation, so those two lists are the only ones to scan. Vivification
+// uses this to replace one clause without the wholesale rebuild reduceDB
+// does.
 func (s *Solver) detach(c clauseRef) {
 	lits := s.ca.lits(c)
 	if len(lits) == 2 {
 		s.removeBinWatch(lits[0], c)
 		s.removeBinWatch(lits[1], c)
 		s.stats.BinClauses--
-		if !s.ca.learnt(c) {
-			s.removeBinOcc(lits[0], lits[1])
-			s.removeBinOcc(lits[1], lits[0])
-			s.binOccStale = true
-		}
 		return
 	}
 	s.removeWatch(lits[0], c)
@@ -142,22 +139,6 @@ func (s *Solver) removeBinWatch(l cnf.Lit, c clauseRef) {
 		}
 	}
 	panic(fmt.Sprintf("core: removeBinWatch: clause %d not on the binary list of literal %v", c, l))
-}
-
-// removeBinOcc drops one nb_two partner entry (l ∨ partner). Duplicate
-// binary clauses yield duplicate entries; removing any one of them keeps
-// the multiset correct.
-func (s *Solver) removeBinOcc(l, partner cnf.Lit) {
-	s.ownBinOcc()
-	occ := s.binOcc[l]
-	for i := range occ {
-		if occ[i] == partner {
-			occ[i] = occ[len(occ)-1]
-			s.binOcc[l] = occ[:len(occ)-1]
-			return
-		}
-	}
-	panic(fmt.Sprintf("core: removeBinOcc: no binary clause (%v %v) recorded", l, partner))
 }
 
 // rebuildWatches drops every watch list — both tiers — and re-attaches all

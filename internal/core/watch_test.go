@@ -196,25 +196,31 @@ func TestRemoveWatchPanicsOnMissing(t *testing.T) {
 	phantom := s.ca.alloc([]cnf.Lit{cnf.PosLit(1), cnf.PosLit(2), cnf.PosLit(3)}, false)
 	expectPanic("removeWatch", func() { s.removeWatch(cnf.PosLit(1), phantom) })
 	expectPanic("removeBinWatch", func() { s.removeBinWatch(cnf.PosLit(4), phantom) })
-	expectPanic("removeBinOcc", func() { s.removeBinOcc(cnf.PosLit(4), cnf.PosLit(9)) })
 }
 
-// TestDetachBothTiers: detach must unhook a clause from whichever tier it
-// was attached to, keeping the gauge and partner lists consistent.
+// TestDetachBothTiers: detach must unhook a learnt clause from whichever
+// tier it was attached to, keeping the gauge consistent and leaving the
+// problem clauses' partner lists alone.
 func TestDetachBothTiers(t *testing.T) {
 	s := New(DefaultOptions())
+	s.ensureVars(5)
 	s.AddClause(cnf.NewClause(1, 2))
-	s.AddClause(cnf.NewClause(3, 4, 5))
-	bin, long := s.clauses[0], s.clauses[1]
+	learn := func(lits ...int) clauseRef {
+		c := s.ca.alloc(cnf.NewClause(lits...), true)
+		s.learnts = append(s.learnts, c)
+		s.attach(c)
+		return c
+	}
+	bin, long := learn(1, 2), learn(3, 4, 5)
 	s.detach(bin)
-	if got := s.stats.BinClauses; got != 0 {
-		t.Fatalf("BinClauses after binary detach = %d, want 0", got)
+	if got := s.stats.BinClauses; got != 1 {
+		t.Fatalf("BinClauses after binary detach = %d, want 1", got)
 	}
-	if n := len(s.binWatches[cnf.PosLit(1)]) + len(s.binWatches[cnf.PosLit(2)]); n != 0 {
-		t.Fatal("binary watcher entries survived detach")
+	if n := len(s.binWatches[cnf.PosLit(1)]) + len(s.binWatches[cnf.PosLit(2)]); n != 2 {
+		t.Fatalf("binary watcher entries after detach = %d, want the problem clause's 2", n)
 	}
-	if n := len(s.binOcc[cnf.PosLit(1)]) + len(s.binOcc[cnf.PosLit(2)]); n != 0 {
-		t.Fatal("binary partner entries survived detach")
+	if n := len(s.binOcc[cnf.PosLit(1)]) + len(s.binOcc[cnf.PosLit(2)]); n != 2 {
+		t.Fatalf("binary partner entries after detach = %d, want the problem clause's 2", n)
 	}
 	s.detach(long)
 	if n := len(s.watches[cnf.PosLit(3)]) + len(s.watches[cnf.PosLit(4)]); n != 0 {

@@ -1,7 +1,6 @@
 package cube
 
 import (
-	"bytes"
 	"context"
 	"io"
 	"sync"
@@ -11,6 +10,7 @@ import (
 	"berkmin/internal/cnf"
 	"berkmin/internal/conc"
 	"berkmin/internal/core"
+	"berkmin/internal/drup"
 )
 
 // Options configures a cube-and-conquer solve.
@@ -249,9 +249,7 @@ func SolveContext(ctx context.Context, master *core.Solver, opt Options) (res Re
 	if master.Dead() {
 		// Level-0 refutation during clause ingestion: the empty clause
 		// is derivable by propagation alone, which is the one-line proof.
-		if opt.Proof != nil {
-			writeClause(opt.Proof, nil)
-		}
+		drup.NewLog(opt.Proof).Add(nil)
 		return Result{Status: core.StatusUnsat}
 	}
 	if ctx.Err() != nil {
@@ -294,7 +292,7 @@ func SolveContext(ctx context.Context, master *core.Solver, opt Options) (res Re
 		deadline: deadline,
 	}
 	e.winner.Store(-1)
-	traces := make([]*bytes.Buffer, w)
+	traces := make([]*drup.Additions, w)
 	for i := 1; i < w; i++ {
 		e.solvers[i] = master.Clone()
 	}
@@ -304,7 +302,7 @@ func SolveContext(ctx context.Context, master *core.Solver, opt Options) (res Re
 		o.Seed = opt.BaseSeed + uint64(i)
 		s.Reconfigure(o)
 		if opt.Proof != nil {
-			traces[i] = &bytes.Buffer{}
+			traces[i] = &drup.Additions{}
 			s.SetProofWriter(traces[i])
 		}
 	}
@@ -357,11 +355,7 @@ func SolveContext(ctx context.Context, master *core.Solver, opt Options) (res Re
 	default:
 		res.Status = core.StatusUnsat
 		if opt.Proof != nil {
-			segs := make([][]byte, w)
-			for i, tr := range traces {
-				segs[i] = tr.Bytes()
-			}
-			stitch(opt.Proof, segs, root)
+			stitch(opt.Proof, traces, root)
 		}
 	}
 	return res

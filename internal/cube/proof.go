@@ -1,7 +1,6 @@
 package cube
 
 import (
-	"bytes"
 	"io"
 
 	"berkmin/internal/cnf"
@@ -11,13 +10,14 @@ import (
 // Proof stitching. An all-UNSAT cube run is reassembled into one DRUP
 // refutation of the input formula in two parts:
 //
-//  1. Every worker's trace, concatenated, with deletion lines stripped.
-//     Each worker started from a clone holding exactly the problem
-//     clauses and its learnt clauses are RUP against what it held when
-//     it learnt them (assumptions enter conflict analysis as decisions,
-//     never as clauses), so each trace is valid on its own; RUP is
-//     monotone under clause additions, so the traces stay valid when
-//     interleaved whole — and stripping deletions only grows the
+//  1. Every worker's trace, concatenated, without deletion lines: each
+//     worker logs into a drup.Additions, which drops them as they are
+//     written. Each worker started from a clone holding exactly the
+//     problem clauses and its learnt clauses are RUP against what it held
+//     when it learnt them (assumptions enter conflict analysis as
+//     decisions, never as clauses), so each trace is valid on its own;
+//     RUP is monotone under clause additions, so the traces stay valid
+//     when interleaved whole — and dropping deletions only grows the
 //     database, which preserves RUP too.
 //
 //  2. The split tree, emitted in post-order as one negated cube per
@@ -36,14 +36,13 @@ import (
 // solved — callers that preprocessed first must prepend the
 // preprocessor's own trace, exactly as the sequential front-end does.
 
-// stitch writes the composed proof: the deletion-stripped worker traces
-// (segs may be nil when the cuber refuted everything itself), then the
-// tree lines.
-func stitch(w io.Writer, segs [][]byte, root *node) {
-	for _, seg := range segs {
-		writeStripped(w, seg)
+// stitch writes the composed proof: the workers' addition-only traces
+// (nil when the cuber refuted everything itself), then the tree lines.
+func stitch(w io.Writer, traces []*drup.Additions, root *node) {
+	for _, tr := range traces {
+		w.Write(tr.Bytes())
 	}
-	var buf []byte
+	log := drup.NewLog(w)
 	var path []cnf.Lit
 	var walk func(n *node)
 	walk = func(n *node) {
@@ -54,36 +53,10 @@ func stitch(w io.Writer, segs [][]byte, root *node) {
 			walk(n.left)
 			walk(n.right)
 		}
-		buf = drup.AppendLine(buf, false, path)
-		w.Write(buf)
+		log.Add(path)
 		if n.lit != 0 {
 			path = path[:len(path)-1]
 		}
 	}
 	walk(root)
-}
-
-// writeStripped copies a DRUP trace, dropping deletion lines.
-func writeStripped(w io.Writer, trace []byte) {
-	for len(trace) > 0 {
-		nl := bytes.IndexByte(trace, '\n')
-		var line []byte
-		if nl < 0 {
-			line = trace
-			trace = nil
-		} else {
-			line = trace[:nl+1]
-			trace = trace[nl+1:]
-		}
-		if bytes.HasPrefix(line, []byte("d ")) {
-			continue
-		}
-		w.Write(line)
-	}
-}
-
-// writeClause emits one addition line (used for the degenerate
-// refuted-at-ingestion case).
-func writeClause(w io.Writer, lits []cnf.Lit) {
-	w.Write(drup.AppendLine(nil, false, lits))
 }

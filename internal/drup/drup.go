@@ -1,9 +1,10 @@
-// Package drup validates DRUP unsatisfiability proofs — the clause
-// addition/deletion traces emitted by the solver when a proof writer is
-// attached. Every added clause must be derivable by reverse unit
-// propagation (RUP): assuming all its literals false and unit-propagating
-// over the current database must yield a conflict. A proof is accepted when
-// the empty clause is derived.
+// Package drup owns the DRUP proof format: Log writes the clause
+// addition/deletion traces the solver, the preprocessor and the cube
+// stitcher emit, ParseProof reads them, and Check validates them. Every
+// added clause must be derivable by reverse unit propagation (RUP):
+// assuming all its literals false and unit-propagating over the current
+// database must yield a conflict. A proof is accepted when the empty
+// clause is derived.
 //
 // BerkMin predates proof logging; the checker exists so this
 // reproduction's UNSAT answers are independently machine-checkable (the
@@ -20,25 +21,6 @@ import (
 
 	"berkmin/internal/cnf"
 )
-
-// AppendLine formats one DRUP line into buf[:0] — an optional "d "
-// deletion prefix, the literals in signed DIMACS form, the terminating 0
-// and a newline — and returns the extended buffer for the caller to write
-// and reuse. It is the single formatter shared by the solver (package
-// core) and the preprocessor (package simplify), so the two trace
-// producers cannot drift from the format this checker parses; the
-// caller-owned buffer keeps proof logging allocation-free in steady state.
-func AppendLine(buf []byte, del bool, lits []cnf.Lit) []byte {
-	buf = buf[:0]
-	if del {
-		buf = append(buf, 'd', ' ')
-	}
-	for _, l := range lits {
-		buf = strconv.AppendInt(buf, int64(l.Dimacs()), 10)
-		buf = append(buf, ' ')
-	}
-	return append(buf, '0', '\n')
-}
 
 // Step is one parsed proof line.
 type Step struct {

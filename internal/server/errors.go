@@ -26,7 +26,8 @@ var (
 	ErrStoreFull = errors.New("satserved: formula store full")
 
 	// ErrFormulaTooLarge: the formula exceeds Config.MaxVars or
-	// Config.MaxClauses (HTTP 413).
+	// Config.MaxClauses, or a query's assumption or temp-clause literal
+	// names a variable above Config.MaxVars (HTTP 413).
 	ErrFormulaTooLarge = errors.New("satserved: formula exceeds configured size limits")
 
 	// ErrClosed: the daemon is shutting down (HTTP 503).

@@ -51,7 +51,9 @@ type Config struct {
 	// MaxFormulas caps the formula store (default 256; 507 beyond it).
 	MaxFormulas int
 	// MaxVars / MaxClauses reject oversized formulas at admission with
-	// 413 (default 0: unlimited).
+	// 413 (default 0: unlimited). MaxVars also bounds the variables a
+	// request's assumptions and temp_clauses name: a query naming one
+	// above it is refused with 413 before a solver is taken.
 	MaxVars    int
 	MaxClauses int
 	// MaxBodyBytes bounds request bodies (default 64 MiB).
@@ -185,13 +187,35 @@ type solveRequest struct {
 }
 
 // validate rejects malformed query extensions at admission (before a
-// worker or solver is committed to the request).
-func (q *solveRequest) validate() error {
+// worker or solver is committed to the request), and a literal naming a
+// variable above maxVars (0 = no bound) with ErrFormulaTooLarge: a solver
+// grows every per-variable array to the largest variable a query names.
+func (q *solveRequest) validate(maxVars int) error {
+	if err := checkVars(maxVars, "assumption", q.Assumptions); err != nil {
+		return err
+	}
 	for _, c := range q.TempClauses {
 		for _, lit := range c {
 			if lit == 0 {
 				return errors.New("temp_clauses: 0 is not a DIMACS literal")
 			}
+		}
+		if err := checkVars(maxVars, "temp_clauses", c); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// checkVars returns ErrFormulaTooLarge if a literal of lits names a
+// variable above maxVars; maxVars 0 means no bound.
+func checkVars(maxVars int, what string, lits []int) error {
+	if maxVars <= 0 {
+		return nil
+	}
+	for _, l := range lits {
+		if l > maxVars || l < -maxVars {
+			return fmt.Errorf("%w: %s literal %d names a variable above %d", ErrFormulaTooLarge, what, l, maxVars)
 		}
 	}
 	return nil
@@ -318,8 +342,8 @@ func (s *Server) handleSolveStored(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorReply{Error: err.Error()})
 		return
 	}
-	if err := req.validate(); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorReply{Error: err.Error()})
+	if err := req.validate(s.cfg.MaxVars); err != nil {
+		writeError(w, err)
 		return
 	}
 	ctx, cancel := s.requestContext(r, req.TimeoutMS)
@@ -350,8 +374,8 @@ func (s *Server) handleSolveOneShot(w http.ResponseWriter, r *http.Request) {
 		}
 		req.Formula = string(body)
 	}
-	if err := req.validate(); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorReply{Error: err.Error()})
+	if err := req.validate(s.cfg.MaxVars); err != nil {
+		writeError(w, err)
 		return
 	}
 	f, err := berkmin.ReadDimacs(strings.NewReader(req.Formula))
@@ -393,6 +417,12 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if len(req.Queries) > s.cfg.MaxBatch {
 		writeJSON(w, http.StatusBadRequest, errorReply{Error: fmt.Sprintf("batch exceeds %d queries", s.cfg.MaxBatch)})
 		return
+	}
+	for _, q := range req.Queries {
+		if err := checkVars(s.cfg.MaxVars, "assumption", q); err != nil {
+			writeError(w, err)
+			return
+		}
 	}
 
 	var pool *berkmin.Pool

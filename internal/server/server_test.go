@@ -399,6 +399,90 @@ func TestAdmissionLimits(t *testing.T) {
 	}
 }
 
+// The Test*QueryVariablesBounded tests: MaxVars bounds the variables a
+// query names as well as the formula's, on every solving endpoint, and
+// refuses an oversized query at admission. An assumption of 1,000,000 on a
+// 2-variable formula used to grow the solver to a million variables. A
+// literal at exactly MaxVars is still answered.
+
+func TestStoredQueryVariablesBounded(t *testing.T) {
+	_, ts := testServer(t, Config{MaxVars: 10})
+	putFormula(t, ts, "f", storedQueryFormula(t))
+	url := ts.URL + "/formulas/f/solve"
+	for _, req := range []solveRequest{
+		{Assumptions: []int{11}},
+		{Assumptions: []int{1, -1000000}},
+		{TempClauses: [][]int{{1, 11}}},
+	} {
+		if resp, _ := postJSON(t, url, req); resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%+v = %d, want 413", req, resp.StatusCode)
+		}
+	}
+	resp, err := http.Get(ts.URL + "/formulas/f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var info formulaReply
+	json.NewDecoder(resp.Body).Decode(&info)
+	resp.Body.Close()
+	if info.Pool == nil || info.Pool.Hits+info.Pool.Misses != 0 {
+		t.Fatalf("refused queries took a solver: pool %+v", info.Pool)
+	}
+	resp, rep := postJSON(t, url, solveRequest{Assumptions: []int{-10}, TempClauses: [][]int{{10, 1}}})
+	if resp.StatusCode != http.StatusOK || rep.Status != berkmin.StatusSat.String() {
+		t.Fatalf("variable 10 = %d/%s, want 200/SAT", resp.StatusCode, rep.Status)
+	}
+}
+
+func TestOneShotQueryVariablesBounded(t *testing.T) {
+	_, ts := testServer(t, Config{MaxVars: 10})
+	url := ts.URL + "/solve"
+	const formula = "p cnf 2 1\n-1 -2 0\n"
+	for _, req := range []solveRequest{
+		{TempClauses: [][]int{{-11}}},
+		{Assumptions: []int{1000000}},
+	} {
+		resp, _ := postJSON(t, url, oneShotRequest{Formula: formula, solveRequest: req})
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%+v = %d, want 413", req, resp.StatusCode)
+		}
+	}
+	resp, rep := postJSON(t, url, oneShotRequest{Formula: formula,
+		solveRequest: solveRequest{Assumptions: []int{10}, TempClauses: [][]int{{-10, 1}}}})
+	if resp.StatusCode != http.StatusOK || rep.Status != berkmin.StatusSat.String() {
+		t.Fatalf("variable 10 = %d/%s, want 200/SAT", resp.StatusCode, rep.Status)
+	}
+}
+
+func TestBatchQueryVariablesBounded(t *testing.T) {
+	_, ts := testServer(t, Config{MaxVars: 10})
+	post := func(queries [][]int) (int, []solveReply) {
+		b, _ := json.Marshal(batchRequest{Formula: "p cnf 2 1\n-1 -2 0\n", Queries: queries})
+		resp, err := http.Post(ts.URL+"/solve/batch", "application/json", bytes.NewReader(b))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var out struct {
+			Results []solveReply `json:"results"`
+		}
+		json.NewDecoder(resp.Body).Decode(&out)
+		return resp.StatusCode, out.Results
+	}
+	if code, _ := post([][]int{{1}, {-11}}); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("batch naming variable 11 = %d, want 413", code)
+	}
+	code, res := post([][]int{{10}, {-10, 1}})
+	if code != http.StatusOK || len(res) != 2 {
+		t.Fatalf("batch naming variable 10 = %d with %d results, want 200 with 2", code, len(res))
+	}
+	for i, r := range res {
+		if r.Status != berkmin.StatusSat.String() {
+			t.Fatalf("batch[%d] = %s, want SAT", i, r.Status)
+		}
+	}
+}
+
 // TestOutOfRangeLiteralIs400: a literal beyond the encodable range is a
 // parse error. It used to wrap past the int32 range and panic a worker,
 // which took the whole daemon down.

@@ -82,7 +82,13 @@ type simplifier struct {
 	assign  []int8          // 0 undef, 1 true, -1 false
 	queue   []cnf.Lit
 	out     *Outcome
-	proof   io.Writer // optional DRUP trace (Options.Proof)
+	// proof logs the optional DRUP trace (Options.Proof). Every added
+	// clause is RUP against the current database: a unit reached by
+	// propagation, or a resolvent of two live clauses (assuming a
+	// resolvent false unit-propagates one parent into the pivot and the
+	// other into a conflict). Deletions always name a clause's physical
+	// (stored) form — the form the checker's database holds.
+	proof *drup.Log
 
 	// contradiction is set when strengthening derives the empty clause
 	// (resolving two contradictory unit clauses); the fixpoint loop stops
@@ -95,8 +101,6 @@ type simplifier struct {
 	stop     func() bool
 	aborted  bool
 	polls    uint
-
-	lineBuf []byte // reusable DRUP line buffer (drup.AppendLine)
 
 	// Elimination scratch, reused across candidates: the live occurrences
 	// of v then ¬v, their current literals (nil when satisfied) carved
@@ -121,35 +125,6 @@ func (s *simplifier) outOfBudget() bool {
 	return s.aborted
 }
 
-// proofAdd logs a derived clause (via the emitter shared with the core
-// engine, drup.WriteLine). Callers guarantee it is RUP against the
-// current database: a unit reached by propagation, or a resolvent of two
-// live clauses (assuming a resolvent false unit-propagates one parent into
-// the pivot and the other into a conflict).
-func (s *simplifier) proofAdd(lits []cnf.Lit) {
-	if s.proof != nil {
-		s.lineBuf = drup.AppendLine(s.lineBuf, false, lits)
-		s.proof.Write(s.lineBuf)
-	}
-}
-
-// proofDelete logs a clause removal, always in the clause's physical
-// (stored) form — the form the checker's database holds.
-func (s *simplifier) proofDelete(lits []cnf.Lit) {
-	if s.proof != nil {
-		s.lineBuf = drup.AppendLine(s.lineBuf, true, lits)
-		s.proof.Write(s.lineBuf)
-	}
-}
-
-// proofEmpty completes an UNSAT trace.
-func (s *simplifier) proofEmpty() {
-	if s.proof != nil {
-		s.lineBuf = drup.AppendLine(s.lineBuf, false, nil)
-		s.proof.Write(s.lineBuf)
-	}
-}
-
 // Run preprocesses f under an end-to-end wall-clock budget and a stop hook
 // — the one way to bound preprocessing, shared by its callers, the
 // front-end berkmin.Solver and portfolio.SolveContext. When budget > 0,
@@ -171,7 +146,7 @@ func Run(f *cnf.Formula, opt Options, budget time.Duration, stop func() bool) (o
 		mark:   make([]bool, 2*f.NumVars+2),
 		assign: make([]int8, f.NumVars+1),
 		out:    &Outcome{},
-		proof:  opt.Proof,
+		proof:  drup.NewLog(opt.Proof),
 		stop:   stop,
 	}
 	if budget > 0 {
@@ -251,7 +226,7 @@ func (s *simplifier) run(f *cnf.Formula) *Outcome {
 		if kept == nil {
 			// Satisfied by a fixed assignment whose unit is already in the
 			// trace, so the deletion is safe for the checker.
-			s.proofDelete(c.lits)
+			s.proof.Delete(c.lits)
 			continue
 		}
 		out.Add(kept)
@@ -281,7 +256,7 @@ func (s *simplifier) finishUnsat(nVars int) *Outcome {
 	// The conflict was reached by unit propagation over the database plus
 	// the units already in the trace, so the empty clause is RUP and the
 	// trace is a complete refutation on its own.
-	s.proofEmpty()
+	s.proof.Add(nil)
 	return s.out
 }
 
@@ -348,7 +323,7 @@ func (s *simplifier) propagate() bool {
 		// logged: it was queued from an input unit, a clause made unit by
 		// previously-logged units, a strengthened clause already in the
 		// trace, or an elimination resolvent already in the trace.
-		s.proofAdd([]cnf.Lit{l})
+		s.proof.Add([]cnf.Lit{l})
 		// Clauses containing ¬l may become unit.
 		for _, c := range s.occ[l.Not()] {
 			if c.deleted {
@@ -410,7 +385,7 @@ func (s *simplifier) subsumptionPass() bool {
 				}
 				if cnf.Clause(d.lits).ContainsAll(c.lits) {
 					d.deleted = true
-					s.proofDelete(d.lits)
+					s.proof.Delete(d.lits)
 					s.out.RemovedSubsumed++
 					changed = true
 				}
@@ -433,16 +408,12 @@ func (s *simplifier) subsumptionPass() bool {
 					continue
 				}
 				if cnf.SubsumesExcept(c.lits, d.lits, l, neg) {
-					var old []cnf.Lit
-					if s.proof != nil {
-						old = append([]cnf.Lit(nil), d.lits...)
-					}
+					old := s.proof.Snapshot(d.lits)
 					s.strengthen(d, neg)
 					// The strengthened clause is the resolvent of c and the
 					// old d: add it (RUP while old d is live), then retire
 					// the old form.
-					s.proofAdd(d.lits)
-					s.proofDelete(old)
+					s.proof.Edit(d.lits, old)
 					s.out.StrengthenedLits++
 					changed = true
 					switch len(d.lits) {
@@ -555,7 +526,7 @@ func (s *simplifier) eliminationPass() bool {
 		// Log every resolvent BEFORE the parent clauses leave the
 		// database: each is RUP only while its parents are live.
 		for _, r := range resolvents {
-			s.proofAdd(r)
+			s.proof.Add(r)
 		}
 		s.eliminate(v, cur)
 		for _, r := range resolvents {
