@@ -37,8 +37,8 @@
 // maps models back to the original variables, verifies them against the
 // original formula, and charges preprocessing to MaxTime and Runtime.
 // SolveParallel and SolveCubes load a throwaway Solver and run their
-// engine on its core; a Snapshot is a frozen Solver whose clones serve
-// pools and portfolios.
+// engine on its core; a Snapshot holds a Solver that is never solved on,
+// and its clones serve pools and portfolios.
 package berkmin
 
 import (

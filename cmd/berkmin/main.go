@@ -19,6 +19,7 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -87,15 +88,25 @@ func run() int {
 		return 1
 	}
 
+	if *jobs > 1 && *cubeMode {
+		fmt.Fprintln(os.Stderr, "-cube and -jobs are mutually exclusive (use -cube-jobs to size the conquer pool)")
+		return 1
+	}
+	if *jobs > 1 && *proofPath != "" {
+		fmt.Fprintln(os.Stderr, "-jobs and -proof are mutually exclusive (a portfolio winner has no single DRUP trace)")
+		return 1
+	}
+	proof, closeProof, err := openProof(*proofPath)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "proof file: %v\n", err)
+		return 1
+	}
+
 	// Cube-and-conquer mode: -cube splits the instance and conquers the
 	// cubes with homogeneous workers, so unlike the portfolio it composes
 	// with the flags that pick one configuration — and with -proof, since
 	// an all-UNSAT run stitches one checkable DRUP trace.
 	if *cubeMode {
-		if *jobs > 1 {
-			fmt.Fprintln(os.Stderr, "-cube and -jobs are mutually exclusive (use -cube-jobs to size the conquer pool)")
-			return 1
-		}
 		copt := berkmin.CubeOptions{
 			Jobs:     *cubeJobs,
 			MaxCubes: *cubeMax,
@@ -103,20 +114,14 @@ func run() int {
 			MaxTime:  *timeout,
 			Seed:     *seed,
 			Simplify: *preprocess,
-		}
-		if *proofPath != "" {
-			pf, err := os.Create(*proofPath)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "proof file: %v\n", err)
-				return 1
-			}
-			defer pf.Close()
-			bw := bufio.NewWriter(pf)
-			defer bw.Flush()
-			copt.Proof = bw
+			Proof:    proof,
 		}
 		start := time.Now()
 		res := berkmin.SolveCubes(f, copt)
+		if err := closeProof(); err != nil {
+			fmt.Fprintf(os.Stderr, "proof file: %v\n", err)
+			return 1
+		}
 		if *showStats {
 			fmt.Fprintf(os.Stderr, "c cube jobs=%d cubes=%d refuted=%d solved=%d steals=%d\n",
 				*cubeJobs, res.Cubes, res.Refuted, res.Solved, res.Steals)
@@ -129,13 +134,9 @@ func run() int {
 
 	// Portfolio mode: -jobs N runs N diversified configurations in
 	// parallel; the single-solver flags that pick one configuration or
-	// attach a proof do not apply, so reject them explicitly rather than
-	// silently ignoring what the user asked for.
+	// attach a proof (rejected above) do not apply, so reject them
+	// explicitly rather than silently ignoring what the user asked for.
 	if *jobs > 1 {
-		if *proofPath != "" {
-			fmt.Fprintln(os.Stderr, "-jobs and -proof are mutually exclusive (a portfolio winner has no single DRUP trace)")
-			return 1
-		}
 		conflicting := ""
 		flag.Visit(func(f *flag.Flag) {
 			switch f.Name {
@@ -166,20 +167,10 @@ func run() int {
 	}
 
 	s := berkmin.NewWithOptions(opt)
-	if *proofPath != "" {
-		pf, err := os.Create(*proofPath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "proof file: %v\n", err)
-			return 1
-		}
-		defer pf.Close()
-		bw := bufio.NewWriter(pf)
-		defer bw.Flush()
-		// Proof logging composes with -simplify: the preprocessor's
-		// additions and deletions lead the trace, so it verifies against
-		// the original formula.
-		s.SetProofWriter(bw)
-	}
+	// Proof logging composes with -simplify: the preprocessor's additions
+	// and deletions lead the trace, so it verifies against the original
+	// formula.
+	s.SetProofWriter(proof)
 	if *preprocess {
 		so := berkmin.DefaultSimplifyOptions()
 		s.SetSimplify(&so)
@@ -187,6 +178,10 @@ func run() int {
 	start := time.Now()
 	s.AddFormula(f)
 	res := s.Solve()
+	if err := closeProof(); err != nil {
+		fmt.Fprintf(os.Stderr, "proof file: %v\n", err)
+		return 1
+	}
 
 	if *showStats {
 		st := res.Stats
@@ -212,6 +207,29 @@ func run() int {
 	}
 
 	return report(res, noModel)
+}
+
+// openProof creates the -proof file behind a buffer; with no path the
+// writer is nil. The returned close flushes and closes the file and
+// reports the first error. Both proof paths call it before printing the
+// verdict, so a proof that never reached the file fails the run instead
+// of backing an "s UNSATISFIABLE" line.
+func openProof(path string) (io.Writer, func() error, error) {
+	if path == "" {
+		return nil, func() error { return nil }, nil
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, nil, err
+	}
+	bw := bufio.NewWriter(f)
+	return bw, func() error {
+		err := bw.Flush()
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		return err
+	}, nil
 }
 
 // presetNames lists the -config names in table order.

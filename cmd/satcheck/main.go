@@ -20,6 +20,7 @@ import (
 	"strings"
 
 	"berkmin"
+	"berkmin/internal/cnf"
 )
 
 func main() {
@@ -78,11 +79,13 @@ func run() int {
 	return 0
 }
 
-// parseModel reads "v" lines (or bare literal lines) into a model array.
-// Lines beginning with "s" or "c" are ignored; a trailing 0 ends the model.
+// parseModel reads "v" lines (or bare literal lines) into a model array
+// of numVars+1 entries. Lines beginning with "s" or "c" are ignored and
+// 0s are skipped. A literal naming a variable outside the formula is
+// rejected; unmentioned variables default to false, since solvers may omit
+// don't-cares.
 func parseModel(r io.Reader, numVars int) ([]bool, error) {
 	model := make([]bool, numVars+1)
-	seen := make([]bool, numVars+1)
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<24)
 	for sc.Scan() {
@@ -99,31 +102,15 @@ func parseModel(r io.Reader, numVars int) ([]bool, error) {
 			if x == 0 {
 				continue
 			}
-			v := x
-			if v < 0 {
-				v = -v
-			}
-			if v >= len(model) {
-				grown := make([]bool, v+1)
-				copy(grown, model)
-				model = grown
-				g2 := make([]bool, v+1)
-				copy(g2, seen)
-				seen = g2
+			v := max(x, -x)
+			if !cnf.ValidDimacs(x) || v > numVars {
+				return nil, fmt.Errorf("literal %q is outside the formula's %d variables", tok, numVars)
 			}
 			model[v] = x > 0
-			seen[v] = true
 		}
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
-	}
-	for v := 1; v <= numVars && v < len(seen); v++ {
-		if !seen[v] {
-			// Unmentioned variables default to false; permissible since
-			// solvers may omit don't-cares, but note it.
-			continue
-		}
 	}
 	return model, nil
 }

@@ -24,7 +24,7 @@ import "berkmin/internal/cnf"
 // assumption failure — so group-conditioned UNSAT answers add no line.
 //
 // The group table is FORMULA PLANE (reuse.go): it describes what the
-// loaded clauses mean, so Reset keeps it and Clone deep-copies it.
+// loaded clauses mean, so Reset keeps it and Clone copies it.
 
 // GroupID names a clause group of a Solver; the zero value is invalid.
 // IDs are never reused within a solver lifetime (release retires a group

@@ -15,10 +15,10 @@ package core
 //
 // Reset drops the search plane and keeps the formula plane, so a query
 // stream (many SolveAssuming calls against one instance) pays clause
-// ingestion and preprocessing once instead of per query. Clone deep-copies
-// both planes into an independent Solver sharing no mutable memory, so N
-// clones can solve concurrently — the seam the portfolio and the future
-// cube-and-conquer workers build on. Reconfigure swaps the Options of an
+// ingestion and preprocessing once instead of per query. Clone copies
+// both planes into an independent Solver (the binary-clause lists
+// copy-on-write), so N clones can solve concurrently — the seam the
+// portfolio and the cube-and-conquer workers build on. Reconfigure swaps the Options of an
 // existing (typically just-cloned) solver, re-arming the policy state the
 // new configuration needs — together Clone+Reconfigure turn one loaded
 // master into a diversified portfolio without re-feeding a single clause.
@@ -234,12 +234,17 @@ func (s *Solver) resetPolicyState() {
 	s.recentGlueN = 0
 }
 
-// Clone returns an independent copy of the solver sharing no mutable
-// memory with the original: the clause arena, watch and occurrence lists,
-// trail, activities, learnt database and statistics are all deep-copied,
-// so the clone and the original (and any number of sibling clones) may
-// solve concurrently. Clone must be called between Solve calls, from the
-// owning goroutine — never while the solver is searching.
+// Clone returns an independent copy of the solver: the clause arena,
+// watch lists, trail, activities, learnt database and statistics are all
+// copied, so the clone and the original (and any number of sibling
+// clones) may solve concurrently. The binary-clause lists (binWatches,
+// binOcc) are the one exception: the clone and the original both read
+// them in place, and each side copies them before its own first change
+// (ownBinWatches, ownBinOcc). Propagation and nbTwo only read them, so a
+// short query that learns no binary clause and restores none never pays
+// for the copy. Clone must be called between Solve calls — never while
+// the solver is searching — and a solver that is not being changed may
+// be cloned from several goroutines at once.
 //
 // The copy is an identical twin: same Options (including Seed), same
 // learnt clauses, same activities, so two clones run the same search until
@@ -251,29 +256,6 @@ func (s *Solver) resetPolicyState() {
 // call SetProofWriter on the clone if needed), no learnt-export hook, no
 // queued imports, no pending Interrupt and no debug hooks.
 func (s *Solver) Clone() *Solver {
-	c := s.clone()
-	c.binWatches = cloneLists(s.binWatches)
-	c.binOcc = cloneLists(s.binOcc)
-	return c
-}
-
-// CloneFrozen is Clone for a solver that never changes again, such as a
-// snapshot's base. The clone reads the original's binary-clause lists
-// (binWatches, binOcc) in place and copies them only before its first
-// change to them: propagation and nbTwo only read them, so a short query
-// that learns no binary clause and restores none never pays for the copy.
-// It writes nothing to the original, so a frozen solver may be cloned
-// from several goroutines at once.
-func (s *Solver) CloneFrozen() *Solver {
-	c := s.clone()
-	c.binWatches, c.binOcc = s.binWatches, s.binOcc
-	c.binWatchesShared, c.binOccShared = true, true
-	return c
-}
-
-// clone copies everything but the binary-clause lists, which Clone and
-// CloneFrozen fill in.
-func (s *Solver) clone() *Solver {
 	// The arena gets a little headroom: a clone's first solve appends
 	// learnt and restored clauses, and an arena sized to its length would
 	// be copied whole by the first of them.
@@ -350,6 +332,13 @@ func (s *Solver) clone() *Solver {
 	// The branching plane carries its own state (activities, heaps, reward
 	// accounting); its clone rebinds every internal pointer to the copy.
 	c.dec = s.dec.clone(c)
+	// Both sides now read the binary-clause lists in place. Concurrent
+	// clones of one solver all store true, so the marks are atomic.
+	c.binWatches, c.binOcc = s.binWatches, s.binOcc
+	c.binWatchesShared.Store(true)
+	c.binOccShared.Store(true)
+	s.binWatchesShared.Store(true)
+	s.binOccShared.Store(true)
 	return c
 }
 
@@ -390,21 +379,20 @@ func (s *Solver) Reconfigure(opt Options) {
 	}
 }
 
-// ownBinWatches gives the solver its own copy of binWatches if
-// CloneFrozen left them shared; every change to the lists goes through it
-// first.
+// ownBinWatches gives the solver its own copy of binWatches if a Clone
+// left them shared; every change to the lists goes through it first.
 func (s *Solver) ownBinWatches() {
-	if s.binWatchesShared {
+	if s.binWatchesShared.Load() {
 		s.binWatches = cloneLists(s.binWatches)
-		s.binWatchesShared = false
+		s.binWatchesShared.Store(false)
 	}
 }
 
 // ownBinOcc is ownBinWatches for binOcc.
 func (s *Solver) ownBinOcc() {
-	if s.binOccShared {
+	if s.binOccShared.Load() {
 		s.binOcc = cloneLists(s.binOcc)
-		s.binOccShared = false
+		s.binOccShared.Store(false)
 	}
 }
 

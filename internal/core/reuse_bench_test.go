@@ -40,9 +40,9 @@ func BenchmarkReset(b *testing.B) {
 	}
 }
 
-// BenchmarkClone measures a full deep copy of a loaded solver (formula
-// plane + search plane): the O(formula) cost of fanning one master out to
-// portfolio or cube workers.
+// BenchmarkClone measures deriving a solver from a loaded one (formula
+// plane + search plane, the binary-clause lists shared copy-on-write): the
+// O(formula) cost of fanning one master out to portfolio or cube workers.
 func BenchmarkClone(b *testing.B) {
 	s := benchLoadedSolver(b, 200)
 	b.ReportAllocs()

@@ -80,8 +80,10 @@ func sliceShares[T any](a, b []T) bool {
 }
 
 // TestCloneSharesNoMutableState pins the aliasing contract: every slice a
-// Clone holds — including the inner per-literal watch and occurrence lists
-// — is backed by memory disjoint from the original's.
+// Clone holds — including the inner per-literal watch lists — is backed by
+// memory disjoint from the original's, except the binary-clause lists,
+// which are copy-on-write: shared at birth, disjoint after either side's
+// first change, and the other side's lists unchanged by it.
 func TestCloneSharesNoMutableState(t *testing.T) {
 	o := churnOptions()
 	o.OptimizedGlobalPick = true
@@ -120,19 +122,12 @@ func TestCloneSharesNoMutableState(t *testing.T) {
 	if c.dec == s.dec {
 		t.Fatal("clone shares the decider object")
 	}
-	if sliceShares(c.watches, s.watches) || sliceShares(c.binWatches, s.binWatches) ||
-		sliceShares(c.binOcc, s.binOcc) {
-		t.Fatal("clone shares an outer watch/occurrence array")
+	if sliceShares(c.watches, s.watches) {
+		t.Fatal("clone shares the outer watch array")
 	}
 	for l := range s.watches {
 		if sliceShares(c.watches[l], s.watches[l]) {
 			t.Fatalf("clone shares watches[%v]", cnf.Lit(l))
-		}
-		if sliceShares(c.binWatches[l], s.binWatches[l]) {
-			t.Fatalf("clone shares binWatches[%v]", cnf.Lit(l))
-		}
-		if sliceShares(c.binOcc[l], s.binOcc[l]) {
-			t.Fatalf("clone shares binOcc[%v]", cnf.Lit(l))
 		}
 	}
 	// Inner lists are packed into one slab sliced at full capacity: an
@@ -145,6 +140,47 @@ func TestCloneSharesNoMutableState(t *testing.T) {
 	}
 	checkInvariants(t, c)
 	checkInvariants(t, s)
+
+	// Copy-on-write, in both directions: first the clone changes its
+	// binary lists, then the original changes its own under a second clone.
+	c2 := s.Clone()
+	checkBinCopyOnWrite(t, "clone", c, s)
+	checkBinCopyOnWrite(t, "original", s, c2)
+	checkInvariants(t, c)
+	checkInvariants(t, c2)
+	checkInvariants(t, s)
+}
+
+// checkBinCopyOnWrite checks that changer and other start on the same
+// binary-clause lists, and that a binary clause added to changer copies
+// changer's lists and leaves other's exactly as they were.
+func checkBinCopyOnWrite(t *testing.T, side string, changer, other *Solver) {
+	t.Helper()
+	if !sliceShares(changer.binWatches, other.binWatches) || !sliceShares(changer.binOcc, other.binOcc) ||
+		!changer.binWatchesShared.Load() || !changer.binOccShared.Load() ||
+		!other.binWatchesShared.Load() || !other.binOccShared.Load() {
+		t.Fatalf("%s: clone and original do not start on shared, marked binary lists", side)
+	}
+	wantWatches, wantOcc := cloneLists(other.binWatches), cloneLists(other.binOcc)
+	v := cnf.Var(changer.nVars)
+	changer.AddClause(cnf.Clause{cnf.PosLit(v + 1), cnf.PosLit(v + 2)})
+	if changer.binWatchesShared.Load() || changer.binOccShared.Load() ||
+		sliceShares(changer.binWatches, other.binWatches) || sliceShares(changer.binOcc, other.binOcc) {
+		t.Fatalf("%s changed its binary lists without copying them", side)
+	}
+	for l := range other.binWatches {
+		if sliceShares(changer.binWatches[l], other.binWatches[l]) || sliceShares(changer.binOcc[l], other.binOcc[l]) {
+			t.Fatalf("%s's copy shares the binary lists of literal %v", side, cnf.Lit(l))
+		}
+	}
+	if len(other.binWatches) != len(wantWatches) || len(other.binOcc) != len(wantOcc) {
+		t.Fatalf("a change by the %s resized the other side's binary lists", side)
+	}
+	for l := range wantWatches {
+		if !slices.Equal(other.binWatches[l], wantWatches[l]) || !slices.Equal(other.binOcc[l], wantOcc[l]) {
+			t.Fatalf("a change by the %s reached the other side's binary lists at literal %v", side, cnf.Lit(l))
+		}
+	}
 }
 
 // TestResetInvariants walks the full invariant harness over a reset solver
@@ -266,11 +302,12 @@ func TestConcurrentClones(t *testing.T) {
 	}
 }
 
-// TestCloneFrozenCopyOnWrite checks CloneFrozen's contract: clones taken
-// concurrently from one frozen solver read its binary-clause lists in
-// place, copy them before their first change, and leave the original's
-// lists exactly as they were however much the clones add, learn and reset.
-func TestCloneFrozenCopyOnWrite(t *testing.T) {
+// TestCloneCopyOnWrite checks Clone's binary-list contract under -race:
+// clones taken concurrently from one master read its binary-clause lists
+// in place and copy them before their first change, the master copies its
+// own before it changes them while the clones are searching, and neither
+// side's change reaches the other's lists.
+func TestCloneCopyOnWrite(t *testing.T) {
 	master := New(TieredOptions())
 	master.AddFormula(pigeonhole(6))
 	wantWatches, wantOcc := cloneLists(master.binWatches), cloneLists(master.binOcc)
@@ -279,43 +316,68 @@ func TestCloneFrozenCopyOnWrite(t *testing.T) {
 	workers := make([]*Solver, n)
 	shared := make([]bool, n)
 	results := make([]Status, n)
-	var wg sync.WaitGroup
+	var cloned, wg sync.WaitGroup
+	cloned.Add(n)
+	wg.Add(n)
 	for i := 0; i < n; i++ {
-		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			w := master.CloneFrozen()
-			shared[i] = w.binWatchesShared && w.binOccShared &&
+			w := master.Clone()
+			shared[i] = w.binWatchesShared.Load() && w.binOccShared.Load() &&
 				sliceShares(w.binWatches, master.binWatches) && sliceShares(w.binOcc, master.binOcc)
+			workers[i] = w
+			cloned.Done()
+			if i%2 == 0 {
+				return // an idle clone keeps reading the master's original lists
+			}
 			// A new binary problem clause changes both lists; the search
 			// learns and detaches more, and Reset rebuilds them.
 			w.AddClause(cnf.Clause{cnf.NegLit(cnf.Var(i + 1)), cnf.NegLit(cnf.Var(i + 8))})
 			results[i] = w.Solve().Status
-			if i%2 == 1 {
+			if i%4 == 1 {
 				w.Reset()
 				results[i] = w.Solve().Status
 			}
-			workers[i] = w
 		}(i)
 	}
+	cloned.Wait()
+	// The busy clones are changing their copies now: the master's lists
+	// must still read as before. Then the master changes its own.
+	for l := range wantWatches {
+		if !slices.Equal(master.binWatches[l], wantWatches[l]) || !slices.Equal(master.binOcc[l], wantOcc[l]) {
+			t.Fatalf("a clone's change reached the master's binary lists at literal %v", cnf.Lit(l))
+		}
+	}
+	master.AddClause(cnf.Clause{cnf.NegLit(1), cnf.NegLit(15)})
+	if got := master.Solve().Status; got != StatusUnsat {
+		t.Fatalf("master answered %v", got)
+	}
 	wg.Wait()
+
+	if master.binWatchesShared.Load() || master.binOccShared.Load() {
+		t.Fatal("the master changed its binary lists without copying them")
+	}
 	for i, w := range workers {
 		if !shared[i] {
-			t.Fatalf("clone %d did not start on the frozen solver's binary lists", i)
+			t.Fatalf("clone %d did not start on the master's binary lists", i)
+		}
+		if sliceShares(w.binWatches, master.binWatches) || sliceShares(w.binOcc, master.binOcc) {
+			t.Fatalf("clone %d shares binary lists with the master after the master's change", i)
+		}
+		if i%2 == 0 {
+			for l := range wantWatches {
+				if !slices.Equal(w.binWatches[l], wantWatches[l]) || !slices.Equal(w.binOcc[l], wantOcc[l]) {
+					t.Fatalf("another solver's change reached idle clone %d's binary lists at literal %v", i, cnf.Lit(l))
+				}
+			}
+			results[i] = w.Solve().Status
+		} else if w.binWatchesShared.Load() || w.binOccShared.Load() {
+			t.Fatalf("clone %d changed its binary lists without copying them", i)
 		}
 		if results[i] != StatusUnsat {
 			t.Fatalf("clone %d answered %v", i, results[i])
 		}
-		if w.binWatchesShared || w.binOccShared ||
-			sliceShares(w.binWatches, master.binWatches) || sliceShares(w.binOcc, master.binOcc) {
-			t.Fatalf("clone %d changed its binary lists without copying them", i)
-		}
 		checkInvariants(t, w)
-	}
-	for l := range wantWatches {
-		if !slices.Equal(master.binWatches[l], wantWatches[l]) || !slices.Equal(master.binOcc[l], wantOcc[l]) {
-			t.Fatalf("a clone's change reached the frozen solver's binary lists at literal %v", cnf.Lit(l))
-		}
 	}
 	checkInvariants(t, master)
 }

@@ -75,11 +75,11 @@ type Result struct {
 // correct. The FORMULA PLANE is a function of the clauses ever added: it
 // survives Reset untouched, so a reset solver re-searches the same loaded
 // formula without re-ingesting it. The SEARCH PLANE is what the CDCL loop
-// accumulates while solving: Reset discards it wholesale. Clone deep-copies
-// both planes (no mutable memory is shared), and the watch/occurrence lists
-// straddle the line deliberately — their structure is formula-determined
-// but their contents include learnt clauses, so Reset rebuilds them in
-// place after dropping the learnt database.
+// accumulates while solving: Reset discards it wholesale. Clone copies
+// both planes (the binary-clause lists copy-on-write), and the watch and
+// occurrence lists straddle the line deliberately — their structure is
+// formula-determined but their contents include learnt clauses, so Reset
+// rebuilds them in place after dropping the learnt database.
 type Solver struct {
 	opt Options
 
@@ -136,10 +136,10 @@ type Solver struct {
 	binWatches [][]binWatcher // binWatches[l]: live binary clauses (l ∨ other); falsifying l implies other
 
 	// binWatchesShared and binOccShared mark binWatches and binOcc as
-	// still read in place from the frozen solver this one was cloned from
-	// (CloneFrozen); ownBinWatches and ownBinOcc copy them before the
-	// first change.
-	binWatchesShared, binOccShared bool
+	// possibly read in place by another solver: one this solver was cloned
+	// from, or a clone taken from it. ownBinWatches and ownBinOcc copy them
+	// before the first change.
+	binWatchesShared, binOccShared atomic.Bool
 
 	// ---- Search plane: accumulated by the CDCL loop; dropped by Reset.
 	learnts []clauseRef // conflict-clause stack, index = age, top = end

@@ -9,7 +9,8 @@ import (
 )
 
 // Snapshot is an immutable capture of a loaded (and, when SetSimplify is
-// enabled, preprocessed) formula: a frozen Solver. Taking one pays clause
+// enabled, preprocessed) formula: a Solver that is only ever cloned and
+// read, never solved on or changed. Taking one pays clause
 // ingestion and preprocessing exactly once; every solver derived from it —
 // NewSolver, a Pool, or SolveParallel's portfolio members — starts from an
 // O(formula) clone instead of re-feeding and re-simplifying the input. A
@@ -46,10 +47,10 @@ func (sn *Snapshot) NumVars() int { return sn.base.NumVars() }
 // the result shares no mutable state with the snapshot or its siblings, so
 // solvers derived from one snapshot may run concurrently. The new solver
 // supports the full incremental API (SolveAssuming, AddClause, further
-// Solve calls); it starts without a proof writer. Since the base never
-// changes, the new solver reads its binary-clause lists in place until it
-// first changes them (core.Solver.CloneFrozen).
-func (sn *Snapshot) NewSolver() *Solver { return sn.base.cloneWith(sn.base.core.CloneFrozen()) }
+// Solve calls); it starts without a proof writer. It is sn's base's
+// Clone, so it reads the base's binary-clause lists in place until it
+// first changes them.
+func (sn *Snapshot) NewSolver() *Solver { return sn.base.Clone() }
 
 // Reset returns the solver to its post-load state: search state (trail,
 // heuristic activities, saved phases, restart/reduce schedules) and all
@@ -66,20 +67,16 @@ func (s *Solver) Reset() {
 // Clone returns an independent copy of the solver: same formula, learnt
 // clauses, heuristic state and statistics, sharing no mutable state with
 // the original — the two may run concurrently from the moment Clone
-// returns. Pending preprocessing runs first (charged to the original's
-// first solve). The clone does not carry the proof writer: interleaving
-// two searches into one DRUP trace would corrupt it, so attach a fresh
-// writer to the clone if needed.
+// returns. The copy is cheap: the formula mirror is shared read-only, and
+// the engine's binary-clause lists are copied only by the side that first
+// changes them (core.Solver.Clone). Pending preprocessing runs first
+// (charged to the original's first solve). The clone does not carry the
+// proof writer: interleaving two searches into one DRUP trace would
+// corrupt it, so attach a fresh writer to the clone if needed.
 func (s *Solver) Clone() *Solver {
 	s.preprocess()
-	return s.cloneWith(s.core.Clone())
-}
-
-// cloneWith wraps engine, a copy of s's core, in a front end of its own
-// that shares s's formula mirror read-only.
-func (s *Solver) cloneWith(engine *core.Solver) *Solver {
 	c := &Solver{
-		core:      engine,
+		core:      s.core.Clone(),
 		pristine:  shallowFormula(s.pristine),
 		verify:    s.verify,
 		maxTime:   s.maxTime,

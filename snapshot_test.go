@@ -287,3 +287,93 @@ func TestSnapshotConcurrentWorkers(t *testing.T) {
 type errUnknown int
 
 func (e errUnknown) Error() string { return "unexpected unknown verdict under assumption" }
+
+// TestSnapshotSourceKeepsWorking checks the source side of a Snapshot:
+// after the capture, the source solver keeps adding clauses, solving and
+// resetting while solvers from NewSolver and from a Pool of the snapshot
+// answer queries on other goroutines (run under -race). Every answer must
+// match a fresh solver's on the same formula.
+func TestSnapshotSourceKeepsWorking(t *testing.T) {
+	inst := Hanoi(3) // SAT, with many binary clauses left after preprocessing
+	src := New()
+	so := DefaultSimplifyOptions()
+	src.SetSimplify(&so)
+	src.AddFormula(inst.Formula)
+	sn := src.Snapshot()
+	pool := sn.NewPool()
+
+	freshAnswer := func(extra [][]int, assume ...int) Status {
+		fresh := New()
+		fresh.AddFormula(inst.Formula)
+		for _, c := range extra {
+			fresh.AddClause(c...)
+		}
+		return fresh.SolveAssuming(assume...).Status
+	}
+
+	const workers, queries = 4, 6
+	got := make([][]Status, workers)
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for q := 0; q < queries; q++ {
+				lit := (g*queries+q)%inst.Formula.NumVars + 1
+				if q%2 == 1 {
+					lit = -lit
+				}
+				var r Result
+				if g%2 == 0 {
+					w := pool.Get()
+					r = w.SolveAssuming(lit)
+					pool.Put(w)
+				} else {
+					r = sn.NewSolver().SolveAssuming(lit)
+				}
+				got[g] = append(got[g], r.Status)
+			}
+		}(g)
+	}
+
+	// The source changes its binary-clause lists while the snapshot's
+	// solvers read theirs: the chain 1 → n+1 → n+2 → 2 over two new
+	// variables, after which assuming 1 and -2 is UNSAT.
+	n := inst.Formula.NumVars
+	var extra [][]int
+	var srcGot, srcWant []Status
+	for _, c := range [][]int{{-1, n + 1}, {-(n + 1), n + 2}, {-(n + 2), 2}} {
+		if err := src.AddClause(c...); err != nil {
+			t.Fatal(err)
+		}
+		extra = append(extra, c)
+		srcGot = append(srcGot, src.Solve().Status)
+		src.Reset()
+		srcGot = append(srcGot, src.SolveAssuming(1, -2).Status)
+		srcWant = append(srcWant, freshAnswer(extra), freshAnswer(extra, 1, -2))
+	}
+	if srcGot[len(srcGot)-1] != StatusUnsat {
+		t.Fatalf("the source's last query answered %v, want UNSAT", srcGot[len(srcGot)-1])
+	}
+	wg.Wait()
+
+	for i := range srcGot {
+		if srcGot[i] != srcWant[i] {
+			t.Fatalf("source solve %d after the snapshot: %v, fresh %v", i, srcGot[i], srcWant[i])
+		}
+	}
+	for g := range got {
+		for q, st := range got[g] {
+			lit := (g*queries+q)%inst.Formula.NumVars + 1
+			if q%2 == 1 {
+				lit = -lit
+			}
+			if want := freshAnswer(nil, lit); st != want {
+				t.Fatalf("worker %d query %d (assume %d): %v, fresh %v", g, q, lit, st, want)
+			}
+		}
+	}
+	if st := pool.Stats(); st.Hits == 0 {
+		t.Fatalf("the pool recycled no solver: %+v", st)
+	}
+}
